@@ -26,6 +26,13 @@ cargo test -q
 echo "== cargo test --workspace --features proptest"
 cargo test --workspace --features proptest -q
 
+# The benchmark's own unit tests (perfbench/README.md): percentile and
+# arrival math, span self time, input shapes, and both wire clients'
+# round trips against `pacer replay`. perfbench is its own cargo
+# workspace, so the workspace-wide stages above never build it.
+echo "== cargo test --manifest-path perfbench/Cargo.toml"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 # Doc breakage fails CI; rustdoc warnings (broken intra-doc links,
 # missing docs where a crate opts into #![warn(missing_docs)]) are errors.
 echo "== cargo doc --no-deps"
@@ -183,9 +190,10 @@ grep -q '"sessions_lost":[1-9]' "$RESDIR/chaos.json" && {
 }
 
 # Drain smoke (SERVICE.md "Drain and shutdown"): SIGTERM to a serving
-# daemon stops admission, finishes checkpointing, and exits 0; the
-# journal it leaves behind must resume to the same transcript the
-# framed run prints.
+# daemon stops admission, finishes checkpointing, and exits 0 within
+# 2 s — the self-pipe wakes the accept loop's poll whichever thread
+# takes the signal; the journal it leaves behind must resume to the
+# same transcript the framed run prints.
 echo "== pacer serve drain smoke"
 ./target/release/pacer serve --socket "$RESDIR/drain.sock" \
     --detector fasttrack --shards 2 --checkpoint "$RESDIR/drain.journal" \
@@ -197,12 +205,19 @@ for _ in $(seq 1 100); do
 done
 ./target/release/pacer serve --send "$RESDIR/racy.ptrace" --session one \
     --socket "$RESDIR/drain.sock" > /dev/null
+DRAIN_START=$(date +%s%N)
 kill -TERM "$DRAIN_PID"
 rc=0; wait "$DRAIN_PID" || rc=$?
+DRAIN_MS=$((($(date +%s%N) - DRAIN_START) / 1000000))
 if [ "$rc" -ne 0 ]; then
     echo "drained daemon: expected exit 0, got $rc" >&2
     exit 1
 fi
+if [ "$DRAIN_MS" -gt 2000 ]; then
+    echo "drained daemon: SIGTERM-to-exit took ${DRAIN_MS} ms (bound 2000 ms)" >&2
+    exit 1
+fi
+echo "drain: SIGTERM-to-exit ${DRAIN_MS} ms"
 grep -q "served 1 session(s)" "$RESDIR/drain.out" || {
     echo "drained daemon transcript is missing the completed session" >&2
     exit 1

@@ -80,8 +80,9 @@
 //! thin wrapper.
 
 // `deny` rather than `forbid`: the signal module carries the suite's
-// only `unsafe` (raw `signal(2)`/`_exit(2)` bindings for graceful
-// drain) behind an explicit module-level allow.
+// only `unsafe` (raw `signal(2)`/`write(2)`/`_exit(2)`/`poll(2)`
+// bindings for graceful drain and the accept wait) behind an explicit
+// module-level allow.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -1221,9 +1222,9 @@ fn serve_connection(
 ) {
     use std::io::{Read as _, Write as _};
 
-    // The listener runs nonblocking so the accept loop can poll the
-    // drain flag; the per-connection socket must block (with at most a
-    // read timeout) or decode would spin.
+    // The listener runs nonblocking so a spurious wake-up of the accept
+    // loop's poll cannot block it in `accept`; the per-connection socket
+    // must block (with at most a read timeout) or decode would spin.
     if conn.set_nonblocking(false).is_err() {
         return;
     }
@@ -1790,11 +1791,72 @@ fn serve_send_tcp(opts: &Options, addr: &str) -> Result<CmdOutput, CliError> {
     }
 }
 
-/// The TCP daemon: a nonblocking accept loop feeding durable-session
-/// handlers. Idle polling doubles as the durable lease clock (one
-/// `durable_tick` per ~1 s of accept-loop idling); on exit every
-/// leftover slot is reaped with its WAL segment retained, so a
-/// restarted daemon pointed at the same `--wal` directory can still
+/// Wall clock between two durable lease ticks (SERVICE.md "Reconnect,
+/// leases, and chaos"): `--idle-timeout T` reaps a detached session
+/// after T of them.
+const LEASE_TICK: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// The daemon accept loop both transports share: one handler thread per
+/// accepted connection (`serve(conn, index)`, index counting from 0),
+/// until `max_sessions` connections have been accepted or a drain
+/// signal arrives. Between accepts it blocks in `poll` on the listener
+/// and the drain self-pipe, so a connection or a signal wakes it at
+/// once; the wait never outlasts the next lease tick. The lease clock
+/// follows the wall clock, checked on every iteration, so a steady
+/// stream of connections cannot postpone reaping. The listener must be
+/// nonblocking: a spurious wake-up just gets `WouldBlock` and waits
+/// again. Returns once every handler has exited.
+fn accept_loop<L: std::os::fd::AsFd, C: Send>(
+    handle: &pacer_harness::ServiceHandle<'_>,
+    listener: &L,
+    accept: impl Fn(&L) -> std::io::Result<C>,
+    max_sessions: Option<u64>,
+    serve: impl Fn(C, u64) + Sync,
+) -> Result<(), pacer_harness::ServeError> {
+    let serve = &serve;
+    std::thread::scope(|scope| {
+        let mut accepted = 0u64;
+        let mut next_tick = std::time::Instant::now() + LEASE_TICK;
+        while max_sessions.is_none_or(|max| accepted < max) {
+            if signal::drain_requested() {
+                break;
+            }
+            let now = std::time::Instant::now();
+            if now >= next_tick {
+                handle.durable_tick();
+                next_tick = now + LEASE_TICK;
+            }
+            match accept(listener) {
+                Ok(conn) => {
+                    let index = accepted;
+                    accepted += 1;
+                    // A panicking handler loses only its own connection;
+                    // the accept loop and every other session carry on.
+                    scope.spawn(move || {
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            serve(conn, index);
+                        }));
+                    });
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    signal::wait_for_accept(listener.as_fd(), next_tick - now)?;
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    })
+}
+
+/// The TCP daemon: the shared accept loop feeding durable-session
+/// handlers, whose lease clock ticks once per second of wall clock. On
+/// exit every leftover slot is reaped with its WAL segment retained, so
+/// a restarted daemon pointed at the same `--wal` directory can still
 /// honor a `RESUME`.
 fn serve_tcp_daemon(
     cfg: &pacer_harness::ServeConfig,
@@ -1815,53 +1877,27 @@ fn serve_tcp_daemon(
         std::fs::write(path, format!("{local}\n"))
             .map_err(|e| err(format!("cannot write {path}: {e}")))?;
     }
-    signal::arm_drain();
+    arm_drain()?;
     let idle_timeout = opts.idle_timeout;
     let ack_index = std::sync::atomic::AtomicU64::new(0);
     let result = pacer_harness::run_service(cfg, |handle| {
-        let looped = std::thread::scope(|scope| {
-            let mut accepted = 0u64;
-            let mut polls = 0u64;
-            while opts.max_sessions.is_none_or(|max| accepted < max) {
-                if signal::drain_requested() {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((conn, _)) => {
-                        let conn_index = accepted;
-                        accepted += 1;
-                        handle.note_transport(|t| t.connections += 1);
-                        let ack_index = &ack_index;
-                        scope.spawn(move || {
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                serve_tcp_connection(
-                                    handle,
-                                    conn,
-                                    idle_timeout,
-                                    cfg.fault_plan.as_ref(),
-                                    conn_index,
-                                    ack_index,
-                                );
-                            }));
-                        });
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-                        ) =>
-                    {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        polls += 1;
-                        if polls % 50 == 0 {
-                            handle.durable_tick();
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            Ok(())
-        });
+        let looped = accept_loop(
+            handle,
+            &listener,
+            |l| l.accept().map(|(conn, _)| conn),
+            opts.max_sessions,
+            |conn, conn_index| {
+                handle.note_transport(|t| t.connections += 1);
+                serve_tcp_connection(
+                    handle,
+                    conn,
+                    idle_timeout,
+                    cfg.fault_plan.as_ref(),
+                    conn_index,
+                    &ack_index,
+                );
+            },
+        );
         // Every handler has exited: reap leftover durable slots into
         // the ledger, retaining their WAL segments for a restart.
         handle.durable_reap_remaining();
@@ -1869,6 +1905,11 @@ fn serve_tcp_daemon(
     });
     let (output, ()) = result.map_err(|e| err(format!("serve: {e}")))?;
     Ok(output)
+}
+
+/// Arms the signal drain (see `signal`), as a CLI error on failure.
+fn arm_drain() -> Result<(), CliError> {
+    signal::arm_drain().map_err(|e| err(format!("cannot arm the drain handler: {e}")))
 }
 
 fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
@@ -1900,62 +1941,33 @@ fn cmd_serve(args: &[String]) -> Result<CmdOutput, CliError> {
             ));
         }
         (Some(socket), None) => {
-            // Daemon mode: one handler thread per accepted connection;
-            // --max-sessions bounds the accept loop so scripted runs
-            // (CI) terminate and print the merged transcript. The
-            // listener runs nonblocking so the loop can poll the drain
-            // flag: on the first SIGINT/SIGTERM admission stops,
-            // in-flight handlers finish inside the scope, and the run
-            // exits through the normal transcript path.
+            // Daemon mode: the shared accept loop; --max-sessions bounds
+            // it so scripted runs (CI) terminate and print the merged
+            // transcript. On the first SIGINT/SIGTERM admission stops,
+            // in-flight handlers finish, and the run exits through the
+            // normal transcript path.
             let _ = std::fs::remove_file(socket);
             let listener = std::os::unix::net::UnixListener::bind(socket)
                 .map_err(|e| err(format!("cannot bind {socket}: {e}")))?;
             listener
                 .set_nonblocking(true)
                 .map_err(|e| err(format!("cannot poll {socket}: {e}")))?;
-            signal::arm_drain();
+            arm_drain()?;
             let idle_timeout = opts.idle_timeout;
             let result = pacer_harness::run_service(&cfg, |handle| {
-                std::thread::scope(|scope| {
-                    let mut accepted = 0u64;
-                    while opts.max_sessions.is_none_or(|max| accepted < max) {
-                        if signal::drain_requested() {
-                            break;
-                        }
-                        match listener.accept() {
-                            Ok((conn, _)) => {
-                                accepted += 1;
-                                // A panicking handler loses only its own
-                                // connection; the accept loop and every
-                                // other session carry on.
-                                scope.spawn(move || {
-                                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                        || {
-                                            serve_connection(handle, conn, idle_timeout);
-                                        },
-                                    ));
-                                });
-                            }
-                            Err(e)
-                                if matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::WouldBlock
-                                        | std::io::ErrorKind::Interrupted
-                                ) =>
-                            {
-                                std::thread::sleep(std::time::Duration::from_millis(20));
-                            }
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                    Ok(())
-                })
+                accept_loop(
+                    handle,
+                    &listener,
+                    |l| l.accept().map(|(conn, _)| conn),
+                    opts.max_sessions,
+                    |conn, _| serve_connection(handle, conn, idle_timeout),
+                )
             });
             let _ = std::fs::remove_file(socket);
             result
         }
         (None, Some(frames)) => {
-            signal::arm_drain();
+            arm_drain()?;
             pacer_harness::run_service(&cfg, |handle| {
                 if frames == "-" {
                     serve_frames(handle, std::io::stdin().lock())

@@ -2,20 +2,31 @@
 //!
 //! A counting global allocator wraps the system allocator; the test drives
 //! every hot-path recording method of a disabled [`Registry`] and asserts
-//! the allocation count never moves.
+//! the allocation count never moves. The count is per thread, so the
+//! other test and the test harness, allocating on their own threads at
+//! the same time, cannot move it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use pacer_obs::{Event, HistKind, Registry, SpaceRecord};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized with no destructor, so touching it from inside
+    // the allocator never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the slot is gone while a thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -24,7 +35,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -32,8 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

@@ -529,3 +529,76 @@ fn concurrent_reconnect_soak_matches_fault_free_single_shard() {
     assert!(counter(&json, "session_resumes") > 0, "{json}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The durable lease clock follows the wall clock: a steady stream of
+/// no-op connections, each waking the accept loop long before any wait
+/// could time out, must not postpone reaping a detached session. With
+/// `--idle-timeout 2` the lease expires about 2 s after the detach, well
+/// inside the ~4 s of probing, so the idle-timeout reap (not the
+/// shutdown reap) ledgers the session.
+#[test]
+fn lease_ticks_follow_the_wall_clock_under_a_connection_stream() {
+    use std::io::{BufRead as _, Write as _};
+
+    const PROBES: u64 = 800;
+    let dir = temp_dir("lease");
+    let bytes = multi_frame_trace(4600);
+    let split = pacer_trace::binary::split_frames(&bytes).unwrap();
+    let first = &bytes[split.frames[0].start..split.frames[0].end];
+    let metrics = dir.join("lease.json");
+    let daemon = start_daemon(
+        &dir,
+        "lease",
+        &[
+            "--idle-timeout",
+            "2",
+            "--max-sessions",
+            &(PROBES + 1).to_string(),
+            "--detector",
+            "fasttrack",
+            "--metrics-out",
+            &metrics.to_string_lossy(),
+        ],
+    );
+
+    // One durable session that detaches after its first frame.
+    {
+        let conn = std::net::TcpStream::connect(&daemon.addr).unwrap();
+        let mut writer = conn.try_clone().unwrap();
+        let mut reader = std::io::BufReader::new(conn);
+        let mut line = String::new();
+        writer.write_all(b"SESSION lease\n").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "ACK 0\n");
+        writer
+            .write_all(format!("FRAME 0 {}\n", first.len()).as_bytes())
+            .unwrap();
+        writer.write_all(first).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "ACK 1\n");
+    }
+    for _ in 0..PROBES {
+        drop(std::net::TcpStream::connect(&daemon.addr).unwrap());
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    let transcript = daemon.handle.join().unwrap();
+    // A reaped lease ledgers as a failed session → exit 2.
+    assert_eq!(transcript.code, 2, "{transcript}");
+    assert!(
+        transcript
+            .text
+            .contains("idle timeout: reaped after 2 idle tick(s)"),
+        "lease was not reaped while connections kept arriving: {transcript}"
+    );
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    let reaped = counter(&json, "reaped");
+    assert!(reaped >= 1, "{json}");
+    assert_eq!(
+        counter(&json, "admitted"),
+        counter(&json, "completed") + counter(&json, "shed") + counter(&json, "failed") + reaped,
+        "ledger not conserved: {json}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
