@@ -268,6 +268,50 @@ for shards in 1 4; do
         exit 1
     }
 done
+# Two durable clients at once, under the same conn-reset plan: each
+# session has its own lock, and each reply must still match replay.
+# --max-sessions counts connections (reconnects included), so the
+# daemon is stopped with SIGTERM once both clients have returned.
+for shards in 1 4; do
+    rm -f "$RESDIR/tcp2.addr"
+    rm -rf "$RESDIR/tcp2-wal"
+    ./target/release/pacer serve --tcp 127.0.0.1:0 \
+        --addr-file "$RESDIR/tcp2.addr" --wal "$RESDIR/tcp2-wal" \
+        --detector fasttrack --shards "$shards" \
+        --fault-plan "$RESDIR/tcp.plan" > "$RESDIR/tcp2-$shards.out" &
+    TCP_PID=$!
+    for _ in $(seq 1 100); do
+        [ -s "$RESDIR/tcp2.addr" ] && break
+        sleep 0.05
+    done
+    send_tcp2() {
+        ./target/release/pacer serve --send "$RESDIR/$1.ptrace" --session "$1" \
+            --tcp "$(cat "$RESDIR/tcp2.addr")" > "$RESDIR/tcp2-$shards-$1.reply"
+    }
+    send_tcp2 racy &
+    RACY_PID=$!
+    send_tcp2 second &
+    SECOND_PID=$!
+    wait "$RACY_PID" && wait "$SECOND_PID" || {
+        echo "a concurrent tcp client failed (--shards $shards)" >&2
+        exit 1
+    }
+    for trace in racy second; do
+        cmp -s "$RESDIR/tcp2-$shards-$trace.reply" "$RESDIR/$trace.replay" || {
+            echo "concurrent tcp reply for $trace differs from pacer replay (--shards $shards)" >&2
+            exit 1
+        }
+    done
+    kill -TERM "$TCP_PID"
+    wait "$TCP_PID" || {
+        echo "concurrent tcp daemon exited nonzero (--shards $shards)" >&2
+        exit 1
+    }
+    grep -q "served 2 session(s)" "$RESDIR/tcp2-$shards.out" || {
+        echo "concurrent tcp daemon transcript is missing a session (--shards $shards)" >&2
+        exit 1
+    }
+done
 
 # Checkpoint/resume byte-identity (RESILIENCE.md): chop the journal
 # mid-entry — as a kill -9 during an append would — and the resumed

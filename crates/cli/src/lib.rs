@@ -51,8 +51,8 @@
 //! pacer serve [--socket PATH | --stdin FILE|-] [--shards N] ...
 //!     Long-running streaming detection service: many concurrent trace
 //!     sessions (unix-socket connections or length-framed input), each
-//!     speaking the `.ptrace` stream format, demultiplexed onto a fleet
-//!     of per-variable shard workers. Each session's reply is
+//!     speaking the `.ptrace` stream format, each routed whole to one
+//!     of the --shards workers. Each session's reply is
 //!     byte-identical to `pacer replay` of the same bytes; the merged
 //!     transcript is byte-identical at any --shards count or arrival
 //!     interleaving. --checkpoint/--resume journal completed sessions

@@ -39,8 +39,8 @@
 //!   thread owning detector state behind a bounded inbox, with balanced
 //!   and broadcast feeds;
 //! * [`service`] — the streaming detection service behind `pacer serve`:
-//!   many concurrent `.ptrace` sessions demultiplexed onto a shard fleet
-//!   by variable id, with deterministic merged transcripts, journal
+//!   many concurrent `.ptrace` sessions, each routed whole to one shard
+//!   worker, with deterministic merged transcripts, journal
 //!   checkpoint/resume, and governor-driven admission shedding (see
 //!   `SERVICE.md`);
 //! * [`render`] — plain-text tables and data series for every table and

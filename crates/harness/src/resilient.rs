@@ -137,7 +137,9 @@ static PANIC_SILENCE: Mutex<PanicSilenceState> = Mutex::new(PanicSilenceState {
 impl SilencePanics {
     pub(crate) fn new() -> Self {
         let mut state = PANIC_SILENCE.lock().unwrap_or_else(|p| p.into_inner());
-        if state.depth == 0 {
+        // A guard dropped while unwinding left the silent hook in place
+        // (see `drop`); `prev` still holds the hook to restore.
+        if state.depth == 0 && state.prev.is_none() {
             state.prev = Some(std::panic::take_hook());
             std::panic::set_hook(Box::new(|_| {}));
         }
@@ -150,7 +152,9 @@ impl Drop for SilencePanics {
     fn drop(&mut self) {
         let mut state = PANIC_SILENCE.lock().unwrap_or_else(|p| p.into_inner());
         state.depth -= 1;
-        if state.depth == 0 {
+        // `set_hook` panics on a panicking thread, which would abort the
+        // process mid-unwind; the next guard's drop restores the hook.
+        if state.depth == 0 && !std::thread::panicking() {
             if let Some(prev) = state.prev.take() {
                 std::panic::set_hook(prev);
             }

@@ -8,25 +8,15 @@
 //!
 //! # Sharding and why it is exact
 //!
-//! Events are demultiplexed per the happens-before rules:
-//!
-//! * **accesses** (`rd`/`wr`) are routed to shard `x mod N` by variable
-//!   id — per-variable metadata lives in exactly one shard;
-//! * **sync events** (`acq`/`rel`/`fork`/`join`/`vrd`/`vwr`) and the
-//!   **sampling markers** are broadcast to every shard.
-//!
-//! In every vector-clock detector here, an access only *reads* the
-//! thread's clock and mutates that variable's metadata, while sync events
-//! and markers only mutate thread/lock/volatile clocks and the sampling
-//! state. Broadcasting the latter gives every shard an identical copy of
-//! that shared state, so each access is checked against exactly the
-//! state a single unsharded detector would have used: the union of the
-//! shards' race reports *is* the unsharded report, at any `N`.
-//!
-//! LITERACE is the exception — its bursty sampler keys on per-(site ×
-//! thread) access counts, which splitting accesses would skew — so
-//! LITERACE sessions are routed whole to one shard (session-sharding:
-//! still N-way parallel across sessions, never split within one).
+//! Every session is routed *whole* to one worker, its home shard
+//! `session mod N`, chosen at admission. The handler sends the session's
+//! events in stream order, one message per decoded `.ptrace` frame (at
+//! most [`binary::FRAME_EVENT_TARGET`] events), and the home worker
+//! applies them to one detector — exactly what `pacer replay` does with
+//! the same bytes. So each report is byte-identical to replay by
+//! construction, with no replicated state and no merge: parallelism
+//! comes from concurrent sessions, never from splitting one (the
+//! replayable-log argument of Ronsse & De Bosschere, PAPERS.md).
 //!
 //! # Determinism
 //!
@@ -64,13 +54,14 @@
 //! ([`SessionCounters::conserved`]).
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, TryLockError};
 
 use pacer_collections::JsonValue;
 use pacer_core::PacerDetector;
@@ -106,7 +97,7 @@ pub enum ServeDetectorKind {
     FastTrack,
     /// GENERIC O(n) vector-clock detection.
     Generic,
-    /// LITERACE bursty sampling (session-sharded, see module docs).
+    /// LITERACE bursty sampling.
     LiteRace,
 }
 
@@ -125,14 +116,9 @@ impl ServeDetectorKind {
             other => Err(format!("unknown detector `{other}`")),
         }
     }
-
-    /// Whether accesses can be split across shards by variable id.
-    fn var_shardable(self) -> bool {
-        !matches!(self, ServeDetectorKind::LiteRace)
-    }
 }
 
-/// One shard's detector instance for one session.
+/// One session's detector instance on its home shard.
 enum ServeDetector {
     Pacer(PacerDetector),
     FastTrack(FastTrackDetector),
@@ -201,8 +187,6 @@ pub struct ServeConfig {
     /// Seed for LITERACE sampling and shed-rate resampling overlays
     /// (same default as `pacer replay --seed`).
     pub seed: u64,
-    /// Per-shard inbox bound — the backpressure depth.
-    pub capacity: usize,
     /// Journal path for per-session checkpoints.
     pub checkpoint: Option<PathBuf>,
     /// Restore completed sessions from the checkpoint journal.
@@ -229,15 +213,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults matching the CLI: 4 shards, seed 42, inbox depth 1024,
-    /// no checkpoint, no budget, resample period 50, no lifecycle
+    /// Defaults matching the CLI: 4 shards, seed 42, no checkpoint, no budget, resample period 50, no lifecycle
     /// budgets, no faults.
     pub fn new(detector: ServeDetectorKind) -> Self {
         ServeConfig {
             shards: 4,
             detector,
             seed: 42,
-            capacity: 1024,
             checkpoint: None,
             resume: false,
             mem_budget: None,
@@ -336,9 +318,9 @@ pub struct SessionReport {
     pub body: String,
     /// Actions analyzed (post-overlay).
     pub events: u64,
-    /// Dynamic race reports, summed over shards.
+    /// Dynamic race reports.
     pub dynamic_races: u64,
-    /// Distinct site pairs after the cross-shard union.
+    /// Distinct site pairs.
     pub distinct_races: u64,
     /// Admission sampling rate in millionths when the governor shed this
     /// session below full rate.
@@ -379,27 +361,32 @@ impl ServeOutput {
 }
 
 /// Messages a session handler sends to shard workers. Per-channel FIFO
-/// plus one-handler-per-session gives every shard each session's events
-/// in stream order; `Close` doubles as the flush barrier.
+/// plus one handler per session gives the home worker each session's
+/// events in stream order; `Close` doubles as the flush barrier.
 #[derive(Clone)]
 enum ShardMsg {
-    /// One event of `session`, already routed or broadcast.
-    Event { session: u32, action: Action },
+    /// One decoded frame of `session`'s events, in stream order.
+    Frame { session: u32, actions: Vec<Action> },
     /// Flush barrier: reply with (and discard) the session's state.
     Close {
         session: u32,
-        reply: SyncSender<(usize, ShardReport)>,
+        reply: SyncSender<ShardReport>,
     },
     /// Reply with the shard's total live metadata footprint, in words.
     Poll { reply: SyncSender<u64> },
 }
 
-/// One shard's share of a closed session.
+/// Frame messages each shard inbox holds before a routing handler
+/// blocks: the backpressure depth, at most
+/// `INBOX_FRAMES × FRAME_EVENT_TARGET` (16384) queued events per shard.
+const INBOX_FRAMES: usize = 4;
+
+/// A closed session's results from its home shard.
 #[derive(Clone, Debug, Default)]
 struct ShardReport {
     dynamic: u64,
     distinct: Vec<(SiteId, SiteId)>,
-    /// Set when supervision abandoned this session on this shard.
+    /// Set when supervision abandoned the session.
     lost: Option<ShardLost>,
 }
 
@@ -410,31 +397,34 @@ struct ShardReport {
 /// organic bug can consume before its session is abandoned.
 const SHARD_EVENT_RETRIES: u32 = 2;
 
-/// One session's state on one shard: live (a detector plus the retained
-/// event log that makes rebuild-by-replay possible), or abandoned after
-/// supervision exhausted the per-event attempt budget.
+/// One session's state on its home shard: live (a detector plus the
+/// retained frames that make rebuild-by-replay possible), or abandoned
+/// after supervision exhausted the per-event attempt budget.
 enum SessionSlot {
     Live {
         det: ServeDetector,
-        log: Vec<Action>,
+        /// Every frame routed so far, kept as it arrived.
+        log: Vec<Vec<Action>>,
+        /// Events of `log`, in order, that `det` has applied.
+        applied: usize,
     },
     Lost(ShardLost),
 }
 
-/// Rebuilds every live slot deterministically by replaying its retained
-/// log through a fresh detector — shard state is a pure function of the
-/// event stream, so this restores exactly the pre-panic state. A slot
-/// whose *replay* panics is unrecoverable (the poison is in its own
+/// Rebuilds every live slot deterministically by replaying its applied
+/// events through a fresh detector — shard state is a pure function of
+/// the event stream, so this restores exactly the pre-panic state. A
+/// slot whose *replay* panics is unrecoverable (the poison is in its own
 /// history) and becomes [`SessionSlot::Lost`]; every other session is
 /// unaffected.
-fn rebuild_sessions(kind: ServeDetectorKind, seed: u64, sessions: &mut [Option<SessionSlot>]) {
-    for slot in sessions.iter_mut() {
-        let Some(SessionSlot::Live { det, log }) = slot.as_mut() else {
+fn rebuild_sessions(kind: ServeDetectorKind, seed: u64, sessions: &mut [(u32, SessionSlot)]) {
+    for (_, slot) in sessions.iter_mut() {
+        let SessionSlot::Live { det, log, applied } = slot else {
             continue;
         };
         let replayed = catch_unwind(AssertUnwindSafe(|| {
             let mut fresh = ServeDetector::build(kind, seed);
-            for action in log.iter() {
+            for action in log.iter().flatten().take(*applied) {
                 fresh.on_action(action);
             }
             fresh
@@ -442,10 +432,10 @@ fn rebuild_sessions(kind: ServeDetectorKind, seed: u64, sessions: &mut [Option<S
         match replayed {
             Ok(fresh) => *det = fresh,
             Err(payload) => {
-                *slot = Some(SessionSlot::Lost(ShardLost {
+                *slot = SessionSlot::Lost(ShardLost {
                     reason: panic_message(payload.as_ref()),
                     attempts: 1,
-                }));
+                });
             }
         }
     }
@@ -458,7 +448,8 @@ fn shard_worker(
     shard: usize,
     inbox: Receiver<ShardMsg>,
 ) -> ServeCounters {
-    let mut sessions: Vec<Option<SessionSlot>> = Vec::new();
+    // The live sessions homed here, keyed by session id.
+    let mut sessions: Vec<(u32, SessionSlot)> = Vec::new();
     let mut counters = ServeCounters::default();
     let mut supervisor = Supervisor::new(SHARD_EVENT_RETRIES);
     // The fault index: events *arrived* at this shard, counted once per
@@ -469,56 +460,70 @@ fn shard_worker(
     let mut arrivals: u64 = 0;
     for msg in inbox {
         match msg {
-            ShardMsg::Event { session, action } => {
-                let arrival = arrivals;
-                arrivals += 1;
-                let idx = session as usize;
-                if sessions.len() <= idx {
-                    sessions.resize_with(idx + 1, || None);
+            ShardMsg::Frame { session, actions } => {
+                let idx = match sessions.iter().position(|(s, _)| *s == session) {
+                    Some(idx) => idx,
+                    None => {
+                        counters.sessions += 1;
+                        let det = ServeDetector::build(kind, seed);
+                        let slot = SessionSlot::Live {
+                            det,
+                            log: Vec::new(),
+                            applied: 0,
+                        };
+                        sessions.push((session, slot));
+                        sessions.len() - 1
+                    }
+                };
+                let events = actions.len();
+                // The frame joins the log before it is applied, so a
+                // rebuild mid-frame replays exactly the applied prefix.
+                if let SessionSlot::Live { log, .. } = &mut sessions[idx].1 {
+                    log.push(actions);
                 }
-                if sessions[idx].is_none() {
-                    counters.sessions += 1;
-                    sessions[idx] = Some(SessionSlot::Live {
-                        det: ServeDetector::build(kind, seed),
-                        log: Vec::new(),
-                    });
-                }
-                if matches!(sessions[idx], Some(SessionSlot::Lost(_))) {
-                    // Already abandoned: drain the session's remaining
-                    // events without applying or counting them.
-                    continue;
-                }
-                let is_access = action.is_access();
-                let applied = supervisor.supervise(
-                    &mut sessions,
-                    |sessions, attempt| {
-                        if plan.is_some_and(|p| p.shard_panic_fires(arrival, attempt)) {
-                            panic!("{INJECTED_PREFIX}shard panic (shard {shard}, event {arrival})");
-                        }
-                        if let Some(SessionSlot::Live { det, .. }) = &mut sessions[idx] {
-                            det.on_action(&action);
-                        }
-                    },
-                    |sessions| rebuild_sessions(kind, seed, sessions),
-                );
-                counters.shard_restarts = supervisor.restarts();
-                match applied {
-                    Ok(()) => {
-                        if let Some(SessionSlot::Live { log, .. }) = &mut sessions[idx] {
-                            log.push(action);
+                for i in 0..events {
+                    let arrival = arrivals;
+                    arrivals += 1;
+                    let SessionSlot::Live { log, .. } = &sessions[idx].1 else {
+                        // Abandoned: drain the session's remaining events
+                        // without applying or counting them.
+                        continue;
+                    };
+                    let action = log[log.len() - 1][i];
+                    let outcome = supervisor.supervise(
+                        &mut sessions,
+                        |sessions, attempt| {
+                            if plan.is_some_and(|p| p.shard_panic_fires(arrival, attempt)) {
+                                panic!(
+                                    "{INJECTED_PREFIX}shard panic (shard {shard}, event {arrival})"
+                                );
+                            }
+                            if let SessionSlot::Live { det, .. } = &mut sessions[idx].1 {
+                                det.on_action(&action);
+                            }
+                        },
+                        |sessions| rebuild_sessions(kind, seed, sessions),
+                    );
+                    counters.shard_restarts = supervisor.restarts();
+                    match (outcome, &mut sessions[idx].1) {
+                        (Ok(()), SessionSlot::Live { applied, .. }) => {
+                            *applied += 1;
                             counters.events += 1;
-                            if is_access {
+                            if action.is_access() {
                                 counters.accesses += 1;
                             }
                         }
-                    }
-                    Err(lost) => {
-                        sessions[idx] = Some(SessionSlot::Lost(lost));
+                        (Ok(()), SessionSlot::Lost(_)) => {}
+                        (Err(lost), slot) => *slot = SessionSlot::Lost(lost),
                     }
                 }
             }
             ShardMsg::Close { session, reply } => {
-                let report = match sessions.get_mut(session as usize).and_then(Option::take) {
+                let slot = sessions
+                    .iter()
+                    .position(|(s, _)| *s == session)
+                    .map(|idx| sessions.swap_remove(idx).1);
+                let report = match slot {
                     Some(SessionSlot::Live { det, .. }) => {
                         let dynamic = det.dynamic_races();
                         counters.races += dynamic;
@@ -537,16 +542,14 @@ fn shard_worker(
                     }
                     None => ShardReport::default(),
                 };
-                // A handler that gave up waiting cannot happen (replies
-                // are collected unconditionally), but a send to a dropped
-                // reply channel must not take the shard down.
-                let _ = reply.send((shard, report));
+                // A send to a dropped reply channel must not take the
+                // shard down.
+                let _ = reply.send(report);
             }
             ShardMsg::Poll { reply } => {
                 let live = sessions
                     .iter()
-                    .flatten()
-                    .map(|slot| match slot {
+                    .map(|(_, slot)| match slot {
                         SessionSlot::Live { det, .. } => det.footprint_words(),
                         SessionSlot::Lost(_) => 0,
                     })
@@ -558,7 +561,7 @@ fn shard_worker(
     counters
 }
 
-/// Shared engine state behind the handle's mutex.
+/// Shared engine state behind the handle's `state` mutex.
 struct EngineState {
     /// Completed (or restored) reports, in completion order.
     completed: Vec<SessionReport>,
@@ -566,8 +569,6 @@ struct EngineState {
     names: Vec<String>,
     /// Reports restored from the journal, served without re-ingest.
     restored: Vec<SessionReport>,
-    /// Open checkpoint journal, if any.
-    journal: Option<JournalWriter>,
     /// First journal-append failure, surfaced at the end of the run.
     journal_error: Option<String>,
     /// Admission governor, when a memory budget is armed.
@@ -588,27 +589,29 @@ fn bucket(sessions: &mut SessionCounters, outcome: SessionOutcome) {
     }
 }
 
-/// Registry of durable (reconnectable) sessions between connections,
-/// plus the transport counters the accept loop, handlers, and engine
-/// contribute to. One mutex: attach/detach, frame appends, and closes
-/// all serialize here, which is what makes the applied-offset watermark
-/// race-free under connection takeover.
+/// Registry of durable (reconnectable) sessions between connections:
+/// each name maps to its own locked [`DurableSlot`]. The registry lock
+/// is held only to look up, insert or remove a slot — never across disk
+/// I/O or an ingest — so one session's WAL sync or `END` never stalls
+/// another session's frames.
 #[derive(Default)]
 struct DurableState {
-    slots: Vec<DurableSlot>,
-    transport: TransportCounters,
+    slots: BTreeMap<String, Arc<Mutex<DurableSlot>>>,
 }
 
 /// One durable session accumulating verified frames until `END`.
 ///
 /// Durable sessions do not stream into shards as frames arrive: each
 /// accepted frame is checksum-verified, deduped by offset, appended to
-/// memory (and the WAL segment, when armed), and acked. At `END` the
-/// whole byte stream — `.ptrace` header plus frames — runs through the
-/// same ingest path as every other transport, so the report is
-/// byte-identical to an uninterrupted `pacer replay` by construction.
+/// the slot's stream (and the WAL segment, when armed), and acked. At
+/// `END` the stream — `.ptrace` header plus frames — runs in place
+/// through the same ingest path as every other transport, so the report
+/// is byte-identical to an uninterrupted `pacer replay` by construction.
+///
+/// Every field is guarded by the slot's own lock, which verify, WAL
+/// append + sync, and the `END` ingest all hold; other sessions' slots
+/// stay free meanwhile.
 struct DurableSlot {
-    name: String,
     /// Shard-routing session id, assigned at admission.
     session: u32,
     /// Governor shed rate fixed at admission (like any other session).
@@ -620,10 +623,41 @@ struct DurableSlot {
     attached: bool,
     /// Idle-lease ticks accumulated while detached.
     idle_ticks: u32,
-    /// Accepted frame bytes in offset order (header + payload verbatim).
-    frames: Vec<Vec<u8>>,
+    /// The `.ptrace` header followed by every accepted frame verbatim,
+    /// in offset order.
+    stream: Vec<u8>,
+    /// Frames in `stream`: the applied-offset watermark.
+    applied: u64,
     /// Open write-ahead segment, when a WAL directory is armed.
     wal: Option<std::fs::File>,
+    /// Set once the slot is retired (completed, failed or reaped), after
+    /// its report is filed and before it leaves the registry: a caller
+    /// that waited on the lock finds the session gone, and a `RESUME`
+    /// finds its report.
+    closed: bool,
+}
+
+impl DurableSlot {
+    /// A slot registered ahead of admission and attached to the
+    /// connection that is opening it.
+    fn reserved() -> DurableSlot {
+        DurableSlot {
+            session: 0,
+            shed: None,
+            epoch: 0,
+            attached: true,
+            idle_ticks: 0,
+            stream: ptrace_header().to_vec(),
+            applied: 0,
+            wal: None,
+            closed: false,
+        }
+    }
+
+    /// Whether the connection holding `epoch` still owns this slot.
+    fn owned_by(&self, epoch: u64) -> bool {
+        !self.closed && self.attached && self.epoch == epoch
+    }
 }
 
 /// What a `SESSION`/`RESUME` handshake resolved to.
@@ -687,13 +721,34 @@ pub enum DurableFrameError {
 
 /// The live service a transport drives: [`serve`](ServiceHandle::serve)
 /// is safe to call from many threads at once (one call per session).
+///
+/// # Lock order
+///
+/// A durable slot's own lock comes first. While holding it, a thread
+/// may take one of the shared locks below at a time, each only for the
+/// step named:
+///
+/// * `durable` (the registry): one slot lookup, insert or removal;
+/// * `state`: admission (including the governor's shard poll) or filing
+///   a report;
+/// * `journal`: one checkpoint append and its sync — appends to the one
+///   journal file must serialize, and nothing else waits on this lock;
+/// * `transport`: one counter update.
+///
+/// No thread holds two slot locks, or two shared locks, at once, and
+/// shard workers take no lock at all. So no lock shared between
+/// sessions is held across a WAL sync or an ingest.
 pub struct ServiceHandle<'cfg> {
     cfg: &'cfg ServeConfig,
     inboxes: Inboxes<ShardMsg>,
     next_session: AtomicU32,
     state: Mutex<EngineState>,
-    /// Durable-session registry; lock order is `durable` before `state`.
+    /// Open checkpoint journal, if any.
+    journal: Mutex<Option<JournalWriter>>,
+    /// Durable-session registry.
     durable: Mutex<DurableState>,
+    /// Durable-transport counters (connections, resumes, acks, ...).
+    transport: Mutex<TransportCounters>,
 }
 
 /// The durable WAL segment path for a session name.
@@ -849,9 +904,13 @@ impl ServiceHandle<'_> {
         let mut stream_err: Option<TraceStreamError> = None;
         let mut deadline_hit = false;
         let mut decoded: u64 = 0;
+        // Raised once the reader's current frame is used up: the router
+        // sends its batch before the next pull can block on the client.
+        let frame_end = Cell::new(false);
         let (routed, stats, threads, validation_err) = {
             let events = std::iter::from_fn(|| match reader.next() {
                 Some(Ok(action)) => {
+                    frame_end.set(reader.frame_exhausted());
                     if deadline.is_some_and(|max| decoded >= max) {
                         deadline_hit = true;
                         return None;
@@ -873,12 +932,12 @@ impl ServiceHandle<'_> {
                     self.cfg.seed,
                 );
                 let mut validated = ValidatedActions::new(overlay);
-                let routed = self.route(session, &mut validated);
+                let routed = self.route(session, &mut validated, &frame_end);
                 let err = validated.error().map(ToString::to_string);
                 (routed, *validated.stats(), validated.threads(), err)
             } else {
                 let mut validated = ValidatedActions::new(events);
-                let routed = self.route(session, &mut validated);
+                let routed = self.route(session, &mut validated, &frame_end);
                 let err = validated.error().map(ToString::to_string);
                 (routed, *validated.stats(), validated.threads(), err)
             }
@@ -887,7 +946,7 @@ impl ServiceHandle<'_> {
         let truncated = reader.truncated();
 
         // Always flush: events routed before a failure must be freed.
-        let (dynamic, distinct, lost) = self.flush(session);
+        let closed = routed.and(self.flush(session));
 
         if reaped.get() {
             return error_report(idle_note(idle_limit), stats.total(), SessionOutcome::Reaped);
@@ -912,9 +971,16 @@ impl ServiceHandle<'_> {
                 SessionOutcome::Failed,
             );
         }
-        if let Err(down) = routed {
-            return error_report(down.to_string(), stats.total(), SessionOutcome::Failed);
-        }
+        let ShardReport {
+            dynamic,
+            distinct,
+            lost,
+        } = match closed {
+            Ok(share) => share,
+            Err(down) => {
+                return error_report(down.to_string(), stats.total(), SessionOutcome::Failed)
+            }
+        };
         if let Some(lost) = lost {
             return error_report(lost.to_string(), stats.total(), SessionOutcome::ShardLost);
         }
@@ -967,97 +1033,83 @@ impl ServiceHandle<'_> {
         }
     }
 
-    /// Routes one session's events: accesses to their variable's shard,
-    /// everything else broadcast (LITERACE: the whole session to one
-    /// shard). See the module docs for why this is exact. All sends are
-    /// checked — a shard that died anyway fails only the sessions whose
-    /// events it owned, never the handler or the accept loop. The
-    /// `inbox-stall` chaos site spins (a pure timing perturbation)
-    /// before targeted events.
+    /// The worker that owns `session` for its lifetime.
+    fn home(&self, session: u32) -> usize {
+        session as usize % self.cfg.shards
+    }
+
+    /// Routes one session's events to its home shard in frame-sized
+    /// batches: a batch goes out once the reader's current frame is used
+    /// up (`frame_end`, checked before the next pull can block on the
+    /// client) or at [`binary::FRAME_EVENT_TARGET`] events. Sends are
+    /// checked — a shard that died anyway fails only its own sessions,
+    /// never the handler or the accept loop. The `inbox-stall` chaos site
+    /// spins (a pure timing perturbation) before targeted events.
     fn route(
         &self,
         session: u32,
         events: &mut impl Iterator<Item = Action>,
+        frame_end: &Cell<bool>,
     ) -> Result<(), ShardDown> {
-        let shards = self.cfg.shards;
+        let home = self.home(session);
         let plan = self.cfg.fault_plan.as_ref();
+        let mut batch: Vec<Action> = Vec::new();
+        // Frames of one stream mostly share a length, so each batch is
+        // allocated like the one before it, then trimmed to its own frame:
+        // the home shard keeps it as the session's log.
+        let mut last_len = 0;
+        let send = |mut actions: Vec<Action>| {
+            actions.shrink_to_fit();
+            self.inboxes
+                .checked_send(home, ShardMsg::Frame { session, actions })
+        };
         let mut index: u64 = 0;
-        let stall = |index: u64| {
+        loop {
+            if !batch.is_empty() && (frame_end.get() || batch.len() >= binary::FRAME_EVENT_TARGET) {
+                last_len = batch.len();
+                send(std::mem::take(&mut batch))?;
+            }
+            let Some(action) = events.next() else {
+                break;
+            };
             if let Some(spins) = plan.and_then(|p| p.inbox_stall_spins(index)) {
                 for _ in 0..spins {
                     std::thread::yield_now();
                 }
             }
-        };
-        if self.cfg.detector.var_shardable() {
-            for action in events {
-                stall(index);
-                index += 1;
-                match action.access() {
-                    Some((x, _, _)) => self.inboxes.checked_send(
-                        x.raw() as usize % shards,
-                        ShardMsg::Event { session, action },
-                    )?,
-                    None => {
-                        // Broadcasts skip dead shards: the survivors'
-                        // replicas stay exact, and any session whose
-                        // accesses live on the dead shard fails at its
-                        // own checked send above.
-                        self.inboxes
-                            .broadcast_live(ShardMsg::Event { session, action });
-                    }
-                }
+            index += 1;
+            if batch.capacity() == 0 {
+                batch.reserve_exact(last_len);
             }
-        } else {
-            let home = session as usize % shards;
-            for action in events {
-                stall(index);
-                index += 1;
-                self.inboxes
-                    .checked_send(home, ShardMsg::Event { session, action })?;
-            }
+            batch.push(action);
+        }
+        if !batch.is_empty() {
+            send(batch)?;
         }
         Ok(())
     }
 
-    /// Flush barrier: collects every live shard's share of the session
-    /// and merges deterministically (sum of dynamic counts, sorted union
-    /// of distinct pairs — the shard replies are order-insensitive).
-    /// When supervision abandoned the session somewhere, the
-    /// lowest-indexed shard's [`ShardLost`] note is returned so the
-    /// report is deterministic even if several shards lost it.
-    fn flush(&self, session: u32) -> (u64, Vec<(SiteId, SiteId)>, Option<ShardLost>) {
-        let (tx, rx) = sync_channel(self.cfg.shards);
-        let delivered = self
-            .inboxes
-            .broadcast_live(ShardMsg::Close { session, reply: tx });
-        let mut dynamic = 0;
-        let mut distinct = Vec::new();
-        let mut lost: Option<(usize, ShardLost)> = None;
-        for (shard, share) in rx.iter().take(delivered) {
-            dynamic += share.dynamic;
-            distinct.extend(share.distinct);
-            if let Some(l) = share.lost {
-                if lost.as_ref().is_none_or(|(s, _)| shard < *s) {
-                    lost = Some((shard, l));
-                }
-            }
-        }
-        distinct.sort();
-        distinct.dedup();
-        (dynamic, distinct, lost.map(|(_, l)| l))
+    /// Flush barrier: the home shard replies with (and discards) the
+    /// session's detector state. FIFO order makes the reply cover every
+    /// batch routed before it.
+    fn flush(&self, session: u32) -> Result<ShardReport, ShardDown> {
+        let home = self.home(session);
+        let (tx, rx) = sync_channel(1);
+        self.inboxes
+            .checked_send(home, ShardMsg::Close { session, reply: tx })?;
+        rx.recv().map_err(|_| ShardDown { shard: home })
     }
 
     /// Records a finished session: checkpoint it, file its outcome
     /// bucket, then merge it.
     fn complete(&self, report: SessionReport) -> SessionReport {
+        let appended = match lock(&self.journal).as_mut() {
+            Some(writer) => writer.write_line(&encode_entry(&report)),
+            None => Ok(()),
+        };
         let mut state = lock(&self.state);
-        if let Some(writer) = state.journal.as_mut() {
-            if let Err(e) = writer.write_line(&encode_entry(&report)) {
-                if state.journal_error.is_none() {
-                    state.journal_error = Some(e.to_string());
-                }
-            }
+        if let Err(e) = appended {
+            state.journal_error.get_or_insert_with(|| e.to_string());
         }
         state.sessions.admitted += 1;
         bucket(&mut state.sessions, report.outcome);
@@ -1069,7 +1121,40 @@ impl ServiceHandle<'_> {
     /// connection handlers contribute `connections`/`acks_sent` here;
     /// the engine bumps the resume/journal/dedup counters itself).
     pub fn note_transport(&self, update: impl FnOnce(&mut TransportCounters)) {
-        update(&mut lock(&self.durable).transport);
+        update(&mut lock(&self.transport));
+    }
+
+    /// The registered slot for `name`, if any. The registry lock is
+    /// released before the caller takes the slot's own lock.
+    fn durable_slot(&self, name: &str) -> Option<Arc<Mutex<DurableSlot>>> {
+        lock(&self.durable).slots.get(name).cloned()
+    }
+
+    /// Registers `slot` under `name` unless the name already has one.
+    fn durable_insert(&self, name: &str, slot: &Arc<Mutex<DurableSlot>>) -> bool {
+        let mut durable = lock(&self.durable);
+        if durable.slots.contains_key(name) {
+            return false;
+        }
+        durable.slots.insert(name.to_string(), Arc::clone(slot));
+        true
+    }
+
+    /// Retires a slot whose report (if any) is already filed: marks it
+    /// closed, so a caller waiting on its lock finds the session gone,
+    /// then removes it from the registry — unless the name belongs to
+    /// another slot (this one lost the race to register it). `guard` is
+    /// `slot`'s own lock.
+    fn durable_retire(&self, name: &str, slot: &Arc<Mutex<DurableSlot>>, guard: &mut DurableSlot) {
+        guard.closed = true;
+        let mut durable = lock(&self.durable);
+        if durable
+            .slots
+            .get(name)
+            .is_some_and(|s| Arc::ptr_eq(s, slot))
+        {
+            durable.slots.remove(name);
+        }
     }
 
     /// Resolves a durable `SESSION` (`resume == false`) or `RESUME`
@@ -1081,139 +1166,174 @@ impl ServiceHandle<'_> {
     /// (taking it over from a dead connection — the epoch token fences
     /// the loser), rebuilds the slot from its WAL segment after a server
     /// restart, or re-serves the stored report of a completed session.
+    /// A `RESUME` that races the session's `END` waits on the slot's lock
+    /// until the report is filed, then finds it completed.
     pub fn durable_open(&self, name: &str, resume: bool) -> DurableOpen {
         if !valid_durable_name(name) {
             return DurableOpen::Rejected(
                 "invalid session name (want [A-Za-z0-9._-]+)".to_string(),
             );
         }
-        let mut durable = lock(&self.durable);
         if resume {
-            if let Some(slot) = durable.slots.iter_mut().find(|s| s.name == name) {
+            return self.durable_resume(name);
+        }
+        // Register the slot, locked, before admission: a `RESUME` racing
+        // this handshake waits for it instead of finding nothing.
+        let slot = Arc::new(Mutex::new(DurableSlot::reserved()));
+        let mut guard = lock(&slot);
+        let admission = if self.durable_insert(name, &slot) {
+            self.admit(name)
+        } else {
+            // A live slot holds the name, so it was admitted before.
+            Admission::Duplicate
+        };
+        let failure = match admission {
+            Admission::Restored(report) => {
+                self.durable_retire(name, &slot, &mut guard);
+                return DurableOpen::Completed(report);
+            }
+            // Ledgered as a failed session, exactly like the
+            // non-durable transports reject duplicates.
+            Admission::Duplicate => "duplicate session name".to_string(),
+            Admission::Admit { session, shed } => match self.create_wal(name) {
+                Ok(wal) => {
+                    guard.session = session;
+                    guard.shed = shed;
+                    guard.wal = wal;
+                    return DurableOpen::Started { epoch: 0 };
+                }
+                // The name is reserved; file the failure so the ledger
+                // stays complete.
+                Err(message) => message,
+            },
+        };
+        self.complete(durable_error_report(name, &failure, SessionOutcome::Failed));
+        self.durable_retire(name, &slot, &mut guard);
+        DurableOpen::Rejected(failure)
+    }
+
+    /// The `RESUME` half of [`durable_open`](Self::durable_open).
+    fn durable_resume(&self, name: &str) -> DurableOpen {
+        if let Some(slot) = self.durable_slot(name) {
+            let mut slot = lock(&slot);
+            // A slot retired while this call waited on its lock has filed
+            // its report: resolve the name again below.
+            if !slot.closed {
                 slot.epoch += 1;
                 slot.attached = true;
                 slot.idle_ticks = 0;
-                let (epoch, applied) = (slot.epoch, slot.frames.len() as u64);
-                durable.transport.session_resumes += 1;
-                return DurableOpen::Resumed { epoch, applied };
-            }
-            if let Some(report) = {
-                let state = lock(&self.state);
-                state.completed.iter().find(|r| r.name == name).cloned()
-            } {
-                durable.transport.session_resumes += 1;
-                return DurableOpen::Completed(report);
-            }
-            if let Some(dir) = self.cfg.wal.clone() {
-                let path = wal_path(&dir, name);
-                if path.exists() {
-                    return match self.durable_open_from_wal(&mut durable, name, &path) {
-                        Ok(open) => open,
-                        Err(message) => {
-                            durable.transport.resumes_rejected += 1;
-                            DurableOpen::Rejected(message)
-                        }
-                    };
-                }
-            }
-            durable.transport.resumes_rejected += 1;
-            return DurableOpen::Rejected(format!("unknown session `{name}`"));
-        }
-        match self.admit(name) {
-            Admission::Restored(report) => DurableOpen::Completed(report),
-            Admission::Duplicate => {
-                // Ledgered as a failed session, exactly like the
-                // non-durable transports reject duplicates.
-                let report =
-                    durable_error_report(name, "duplicate session name", SessionOutcome::Failed);
-                self.complete(report);
-                DurableOpen::Rejected("duplicate session name".to_string())
-            }
-            Admission::Admit { session, shed } => {
-                let wal = match self.create_wal(name) {
-                    Ok(wal) => wal,
-                    Err(message) => {
-                        // The name is reserved; file the failure so the
-                        // ledger stays complete.
-                        let report = durable_error_report(name, &message, SessionOutcome::Failed);
-                        self.complete(report);
-                        return DurableOpen::Rejected(message);
-                    }
+                self.note_transport(|t| t.session_resumes += 1);
+                return DurableOpen::Resumed {
+                    epoch: slot.epoch,
+                    applied: slot.applied,
                 };
-                durable.slots.push(DurableSlot {
-                    name: name.to_string(),
-                    session,
-                    shed,
-                    epoch: 0,
-                    attached: true,
-                    idle_ticks: 0,
-                    frames: Vec::new(),
-                    wal,
-                });
-                DurableOpen::Started { epoch: 0 }
             }
         }
+        let completed = lock(&self.state)
+            .completed
+            .iter()
+            .find(|r| r.name == name)
+            .cloned();
+        if let Some(report) = completed {
+            self.note_transport(|t| t.session_resumes += 1);
+            return DurableOpen::Completed(report);
+        }
+        if let Some(path) = self.cfg.wal.as_ref().map(|dir| wal_path(dir, name)) {
+            if path.exists() {
+                return self.durable_open_from_wal(name, &path);
+            }
+        }
+        self.note_transport(|t| t.resumes_rejected += 1);
+        DurableOpen::Rejected(format!("unknown session `{name}`"))
     }
 
     /// Cold resume: rebuilds a durable slot from its write-ahead segment
     /// (a fresh admission in this run — the previous run filed the slot
     /// as reaped at shutdown). A crash-torn tail is truncated at the
-    /// last complete frame, exactly like every other journal here.
-    fn durable_open_from_wal(
+    /// last complete frame, exactly like every other journal here. The
+    /// segment is read under the new slot's own lock.
+    fn durable_open_from_wal(&self, name: &str, path: &std::path::Path) -> DurableOpen {
+        let slot = Arc::new(Mutex::new(DurableSlot::reserved()));
+        let mut guard = lock(&slot);
+        if !self.durable_insert(name, &slot) {
+            // Another handshake registered the name first: attach to it.
+            drop(guard);
+            return self.durable_resume(name);
+        }
+        let rejected = match self.load_wal(name, path, &mut guard) {
+            Ok(open) => {
+                if matches!(open, DurableOpen::Completed(_)) {
+                    self.durable_retire(name, &slot, &mut guard);
+                }
+                self.note_transport(|t| t.session_resumes += 1);
+                return open;
+            }
+            Err(message) => message,
+        };
+        self.durable_retire(name, &slot, &mut guard);
+        self.note_transport(|t| t.resumes_rejected += 1);
+        DurableOpen::Rejected(rejected)
+    }
+
+    /// Fills a reserved slot from the WAL segment at `path`.
+    fn load_wal(
         &self,
-        durable: &mut DurableState,
         name: &str,
         path: &std::path::Path,
+        slot: &mut DurableSlot,
     ) -> Result<DurableOpen, String> {
-        let bytes = std::fs::read(path)
+        let mut bytes = std::fs::read(path)
             .map_err(|e| format!("wal segment for `{name}` is unreadable: {e}"))?;
         let split = binary::split_frames(&bytes)
             .map_err(|e| format!("wal segment for `{name}` is corrupt: {e}"))?;
-        match self.admit(name) {
+        let (session, shed) = match self.admit(name) {
             Admission::Restored(report) => {
                 // The checkpoint journal already has the finished report;
                 // the WAL segment is obsolete.
                 let _ = std::fs::remove_file(path);
-                durable.transport.session_resumes += 1;
-                Ok(DurableOpen::Completed(report))
+                return Ok(DurableOpen::Completed(report));
             }
-            Admission::Duplicate => Err("duplicate session name".to_string()),
-            Admission::Admit { session, shed } => {
-                let clean_len = split.frames.last().map_or(binary::HEADER_LEN, |f| f.end);
-                let mut wal = std::fs::OpenOptions::new()
-                    .read(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("wal segment for `{name}` is unreadable: {e}"))?;
+            Admission::Duplicate => return Err("duplicate session name".to_string()),
+            Admission::Admit { session, shed } => (session, shed),
+        };
+        let clean_len = split.frames.last().map_or(binary::HEADER_LEN, |f| f.end);
+        let repaired = std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(path)
+            .and_then(|mut wal| {
                 if bytes.len() < binary::HEADER_LEN {
                     // Torn inside the header at creation: start over.
-                    wal.set_len(0)
-                        .and_then(|()| append_wal(&mut wal, &ptrace_header()))
-                        .map_err(|e| format!("wal segment for `{name}`: {e}"))?;
+                    wal.set_len(0)?;
+                    append_wal(&mut wal, &ptrace_header())?;
                 } else if clean_len < bytes.len() {
-                    wal.set_len(clean_len as u64)
-                        .map_err(|e| format!("wal segment for `{name}`: {e}"))?;
+                    wal.set_len(clean_len as u64)?;
                 }
-                let frames: Vec<Vec<u8>> = split
-                    .frames
-                    .iter()
-                    .map(|f| bytes[f.start..f.end].to_vec())
-                    .collect();
-                let applied = frames.len() as u64;
-                durable.slots.push(DurableSlot {
-                    name: name.to_string(),
-                    session,
-                    shed,
-                    epoch: 0,
-                    attached: true,
-                    idle_ticks: 0,
-                    frames,
-                    wal: Some(wal),
-                });
-                durable.transport.session_resumes += 1;
-                Ok(DurableOpen::Resumed { epoch: 0, applied })
+                Ok(wal)
+            });
+        let wal = match repaired {
+            Ok(wal) => wal,
+            Err(e) => {
+                // Admitted above: file the failure so the ledger stays
+                // complete.
+                let message = format!("wal segment for `{name}`: {e}");
+                self.complete(durable_error_report(name, &message, SessionOutcome::Failed));
+                return Err(message);
             }
+        };
+        if bytes.len() < binary::HEADER_LEN {
+            bytes = ptrace_header().to_vec();
         }
+        bytes.truncate(clean_len);
+        slot.session = session;
+        slot.shed = shed;
+        slot.applied = split.frames.len() as u64;
+        slot.stream = bytes;
+        slot.wal = Some(wal);
+        Ok(DurableOpen::Resumed {
+            epoch: 0,
+            applied: slot.applied,
+        })
     }
 
     /// Creates a fresh WAL segment (header written and synced), or
@@ -1252,100 +1372,91 @@ impl ServiceHandle<'_> {
         offset: u64,
         bytes: &[u8],
     ) -> Result<FrameAck, DurableFrameError> {
-        let mut durable = lock(&self.durable);
-        let DurableState { slots, transport } = &mut *durable;
-        let Some(idx) = slots
-            .iter()
-            .position(|s| s.name == name && s.epoch == epoch && s.attached)
-        else {
+        let slot = self.durable_slot(name).ok_or(DurableFrameError::Detached)?;
+        let mut guard = lock(&slot);
+        if !guard.owned_by(epoch) {
             return Err(DurableFrameError::Detached);
-        };
-        let applied = slots[idx].frames.len() as u64;
+        }
+        let applied = guard.applied;
         if offset < applied {
-            transport.frames_deduped += 1;
+            self.note_transport(|t| t.frames_deduped += 1);
             return Ok(FrameAck::Duplicate { applied });
         }
-        if offset > applied {
-            let report = self.durable_fail(
-                &mut durable,
-                idx,
-                format!("frame gap: got offset {offset}, expected {applied}"),
-            );
+        let failure = if offset > applied {
+            Some(format!(
+                "frame gap: got offset {offset}, expected {applied}"
+            ))
+        } else if let Err(e) = binary::decode_frame_payload(bytes, offset + 1) {
+            Some(e.to_string())
+        } else if let Some(wal) = &mut guard.wal {
+            append_wal(wal, bytes)
+                .err()
+                .map(|e| format!("wal append failed: {e}"))
+        } else {
+            None
+        };
+        if let Some(message) = failure {
+            let report = self.durable_fail(name, &slot, &mut guard, &message);
             return Err(DurableFrameError::Failed(report));
         }
-        if let Err(e) = binary::decode_frame_payload(bytes, offset + 1) {
-            let report = self.durable_fail(&mut durable, idx, e.to_string());
-            return Err(DurableFrameError::Failed(report));
+        if guard.wal.is_some() {
+            self.note_transport(|t| t.frames_journaled += 1);
         }
-        let slot = &mut slots[idx];
-        if let Some(wal) = &mut slot.wal {
-            if let Err(e) = append_wal(wal, bytes) {
-                let report =
-                    self.durable_fail(&mut durable, idx, format!("wal append failed: {e}"));
-                return Err(DurableFrameError::Failed(report));
-            }
-            transport.frames_journaled += 1;
-        }
-        slot.frames.push(bytes.to_vec());
+        guard.stream.extend_from_slice(bytes);
+        guard.applied += 1;
         Ok(FrameAck::Applied {
-            applied: applied + 1,
+            applied: guard.applied,
         })
     }
 
     /// Ends an attached durable session: checks the client's frame total
-    /// against the applied watermark, assembles `header + frames`, and
-    /// runs the whole stream through the standard ingest/complete path —
-    /// so the report is byte-identical to an uninterrupted replay of the
-    /// same bytes, and the WAL segment is retired.
+    /// against the applied watermark, runs the slot's stream in place
+    /// through the standard ingest/complete path — so the report is
+    /// byte-identical to an uninterrupted replay of the same bytes — and
+    /// retires the WAL segment.
     ///
-    /// Runs under the registry lock: a concurrent `RESUME` for this name
-    /// blocks until the report is filed and then finds it completed.
+    /// Runs under the slot's own lock: a concurrent `RESUME` for this
+    /// name blocks until the report is filed and then finds it
+    /// completed, while other sessions proceed.
     pub fn durable_close(
         &self,
         name: &str,
         epoch: u64,
         total: u64,
     ) -> Result<SessionReport, DurableFrameError> {
-        let mut durable = lock(&self.durable);
-        let Some(idx) = durable
-            .slots
-            .iter()
-            .position(|s| s.name == name && s.epoch == epoch && s.attached)
-        else {
+        let slot = self.durable_slot(name).ok_or(DurableFrameError::Detached)?;
+        let mut guard = lock(&slot);
+        if !guard.owned_by(epoch) {
             return Err(DurableFrameError::Detached);
-        };
-        let applied = durable.slots[idx].frames.len() as u64;
-        if total != applied {
-            let report = self.durable_fail(
-                &mut durable,
-                idx,
-                format!("client ended at {total} frame(s) but {applied} were applied"),
+        }
+        if total != guard.applied {
+            let message = format!(
+                "client ended at {total} frame(s) but {} were applied",
+                guard.applied
             );
+            let report = self.durable_fail(name, &slot, &mut guard, &message);
             return Err(DurableFrameError::Failed(report));
         }
-        let slot = durable.slots.swap_remove(idx);
-        let mut bytes = ptrace_header().to_vec();
-        for frame in &slot.frames {
-            bytes.extend_from_slice(frame);
-        }
-        let report = self.ingest(&slot.name, slot.session, slot.shed, &bytes[..]);
+        let report = self.ingest(name, guard.session, guard.shed, &guard.stream[..]);
         let report = self.complete(report);
-        self.remove_wal(&slot.name);
+        self.remove_wal(name);
+        self.durable_retire(name, &slot, &mut guard);
         Ok(report)
     }
 
-    /// Terminally fails the slot at `idx`: removes it, retires its WAL
-    /// segment, and files a `Failed` report.
+    /// Terminally fails a slot: retires its WAL segment, files a
+    /// `Failed` report, and retires the slot.
     fn durable_fail(
         &self,
-        durable: &mut DurableState,
-        idx: usize,
-        message: String,
+        name: &str,
+        slot: &Arc<Mutex<DurableSlot>>,
+        guard: &mut DurableSlot,
+        message: &str,
     ) -> SessionReport {
-        let slot = durable.slots.swap_remove(idx);
-        self.remove_wal(&slot.name);
-        let report = durable_error_report(&slot.name, &message, SessionOutcome::Failed);
-        self.complete(report)
+        self.remove_wal(name);
+        let report = self.complete(durable_error_report(name, message, SessionOutcome::Failed));
+        self.durable_retire(name, slot, guard);
+        report
     }
 
     /// Releases an attached durable slot back to the idle lease — the
@@ -1353,47 +1464,51 @@ impl ServiceHandle<'_> {
     /// `RESUME`. A stale epoch is a no-op: a newer connection owns the
     /// slot.
     pub fn durable_detach(&self, name: &str, epoch: u64) {
-        let mut durable = lock(&self.durable);
-        if let Some(slot) = durable
-            .slots
-            .iter_mut()
-            .find(|s| s.name == name && s.epoch == epoch && s.attached)
-        {
-            slot.attached = false;
-            slot.idle_ticks = 0;
+        if let Some(slot) = self.durable_slot(name) {
+            let mut slot = lock(&slot);
+            if slot.owned_by(epoch) {
+                slot.attached = false;
+                slot.idle_ticks = 0;
+            }
         }
     }
 
     /// Advances the idle lease on every detached durable slot by one
     /// tick; slots at the `--idle-timeout` limit are reaped — filed in
     /// the `reaped` ledger bucket, WAL segment retired. Returns the
-    /// reaped reports. A no-op when no idle timeout is armed.
+    /// reaped reports. A no-op when no idle timeout is armed. A slot
+    /// whose lock is held is busy, hence not idle, and is skipped.
     pub fn durable_tick(&self) -> Vec<SessionReport> {
         let Some(limit) = self.cfg.idle_timeout_ticks else {
             return Vec::new();
         };
-        let mut durable = lock(&self.durable);
+        let slots: Vec<(String, Arc<Mutex<DurableSlot>>)> = lock(&self.durable)
+            .slots
+            .iter()
+            .map(|(name, slot)| (name.clone(), Arc::clone(slot)))
+            .collect();
         let mut reaped = Vec::new();
-        let mut idx = 0;
-        while idx < durable.slots.len() {
-            let slot = &mut durable.slots[idx];
-            if slot.attached {
-                idx += 1;
+        for (name, slot) in &slots {
+            let mut guard = match slot.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => continue,
+            };
+            if guard.closed || guard.attached {
                 continue;
             }
-            slot.idle_ticks += 1;
-            if slot.idle_ticks < limit {
-                idx += 1;
+            guard.idle_ticks += 1;
+            if guard.idle_ticks < limit {
                 continue;
             }
-            let slot = durable.slots.swap_remove(idx);
-            self.remove_wal(&slot.name);
-            let report = durable_error_report(
-                &slot.name,
+            self.remove_wal(name);
+            let report = self.complete(durable_error_report(
+                name,
                 &format!("idle timeout: reaped after {limit} idle tick(s)"),
                 SessionOutcome::Reaped,
-            );
-            reaped.push(self.complete(report));
+            ));
+            self.durable_retire(name, slot, &mut guard);
+            reaped.push(report);
         }
         reaped
     }
@@ -1403,17 +1518,20 @@ impl ServiceHandle<'_> {
     /// pointed at the same `--wal` directory rebuilds them on `RESUME`.
     pub fn durable_reap_remaining(&self) -> Vec<SessionReport> {
         let slots = std::mem::take(&mut lock(&self.durable).slots);
-        slots
-            .into_iter()
-            .map(|slot| {
-                let report = durable_error_report(
-                    &slot.name,
-                    "durable session never completed; reaped at shutdown (wal segment retained)",
-                    SessionOutcome::Reaped,
-                );
-                self.complete(report)
-            })
-            .collect()
+        let mut reaped = Vec::new();
+        for (name, slot) in slots {
+            let mut guard = lock(&slot);
+            if guard.closed {
+                continue;
+            }
+            guard.closed = true;
+            reaped.push(self.complete(durable_error_report(
+                &name,
+                "durable session never completed; reaped at shutdown (wal segment retained)",
+                SessionOutcome::Reaped,
+            )));
+        }
+        reaped
     }
 }
 
@@ -1501,8 +1619,9 @@ enum Admission {
 
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // Handlers run under catch-free scoped threads; a poisoned lock only
-    // means another handler panicked mid-merge, and the state it guards
-    // (append-only vectors) is always structurally consistent.
+    // means another handler panicked while holding it, and the state it
+    // guards (append-only vectors, maps, counters and flags, each
+    // updated in one step) is always structurally consistent.
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -1567,7 +1686,7 @@ pub fn run_service<T>(
     let plan = cfg.fault_plan.as_ref();
     let (shard_counters, (driven, state, transport)) = shard::run_sharded(
         cfg.shards,
-        cfg.capacity,
+        INBOX_FRAMES,
         |shard, inbox| shard_worker(kind, seed, plan, shard, inbox),
         |inboxes| {
             let handle = ServiceHandle {
@@ -1578,24 +1697,25 @@ pub fn run_service<T>(
                     completed: Vec::new(),
                     names: Vec::new(),
                     restored,
-                    journal,
                     journal_error: None,
                     governor,
                     admitted: 0,
                     sessions: SessionCounters::default(),
                 }),
+                journal: Mutex::new(journal),
                 durable: Mutex::new(DurableState::default()),
+                transport: Mutex::new(TransportCounters::default()),
             };
             let driven = drive(&handle);
-            let durable = handle
-                .durable
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
             let state = handle
                 .state
                 .into_inner()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
-            (driven, state, durable.transport)
+            let transport = handle
+                .transport
+                .into_inner()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            (driven, state, transport)
         },
     );
     let driven = driven?;
@@ -2496,5 +2616,126 @@ mod tests {
         .unwrap();
         assert!(out.sessions.conserved(), "{:?}", out.sessions);
         assert_eq!(out.sessions.failed, 1);
+    }
+
+    #[test]
+    fn a_held_slot_lock_never_blocks_another_session() {
+        let frames = per_action_frames(&racy_trace());
+        let config = ServeConfig {
+            shards: 2,
+            idle_timeout_ticks: Some(100),
+            ..ServeConfig::new(ServeDetectorKind::FastTrack)
+        };
+        let (out, ()) = run_service(&config, |handle| {
+            let epoch_a = open_started(handle, "a");
+            let epoch_b = open_started(handle, "b");
+            handle.durable_frame("b", epoch_b, 0, &frames[0]).unwrap();
+            handle.durable_detach("b", epoch_b);
+            let slot_a = handle.durable_slot("a").unwrap();
+            let held = lock(&slot_a);
+            let frames = &frames;
+            std::thread::scope(|scope| {
+                let (tx, rx) = sync_channel(1);
+                scope.spawn(move || {
+                    let (epoch, applied) = match handle.durable_open("b", true) {
+                        DurableOpen::Resumed { epoch, applied } => (epoch, applied),
+                        other => panic!("expected Resumed, got {other:?}"),
+                    };
+                    let acks: Vec<u64> = (applied..frames.len() as u64)
+                        .map(|offset| {
+                            let frame = &frames[offset as usize];
+                            handle
+                                .durable_frame("b", epoch, offset, frame)
+                                .unwrap()
+                                .applied()
+                        })
+                        .collect();
+                    let reaped = handle.durable_tick();
+                    let _ = tx.send((applied, acks, reaped.len()));
+                });
+                // On failure, release A before asserting, so a test that
+                // finds a shared lock fails instead of hanging.
+                let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+                drop(held);
+                let (applied, acks, reaped) = got.expect("session B waited on session A's lock");
+                assert_eq!(applied, 1);
+                assert_eq!(acks, (2..=frames.len() as u64).collect::<Vec<_>>());
+                assert_eq!(reaped, 0, "no slot has idled out");
+            });
+            for (offset, frame) in frames.iter().enumerate() {
+                handle
+                    .durable_frame("a", epoch_a, offset as u64, frame)
+                    .unwrap();
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(out.transport.session_resumes, 1);
+    }
+
+    #[test]
+    fn resume_racing_end_sees_the_report_or_takes_the_session_over() {
+        let trace = racy_trace();
+        let frames = per_action_frames(&trace);
+        let total = frames.len() as u64;
+        let config = cfg(ServeDetectorKind::FastTrack, 2);
+        let expected = serve_sessions(&config, vec![("x".into(), trace.to_binary())], 1)
+            .unwrap()
+            .reports[0]
+            .body
+            .clone();
+        let rounds = 50;
+        let (out, (completed, taken_over)) = run_service(&config, |handle| {
+            let (mut completed, mut taken_over) = (0, 0);
+            for round in 0..rounds {
+                let name = format!("r{round}");
+                let epoch = open_started(handle, &name);
+                for (offset, frame) in frames.iter().enumerate() {
+                    handle
+                        .durable_frame(&name, epoch, offset as u64, frame)
+                        .unwrap();
+                }
+                let start = std::sync::Barrier::new(2);
+                let (closed, resumed) = std::thread::scope(|scope| {
+                    let close = scope.spawn(|| {
+                        start.wait();
+                        // Odd rounds give the `RESUME` a head start, so
+                        // both orders get exercised.
+                        if round % 2 == 1 {
+                            for _ in 0..20_000 {
+                                std::hint::spin_loop();
+                            }
+                        }
+                        handle.durable_close(&name, epoch, total)
+                    });
+                    start.wait();
+                    let resumed = handle.durable_open(&name, true);
+                    (close.join().unwrap(), resumed)
+                });
+                match (closed, resumed) {
+                    (Ok(report), DurableOpen::Completed(again)) => {
+                        assert_eq!(report.body, expected);
+                        assert_eq!(again.body, report.body);
+                        completed += 1;
+                    }
+                    (Err(DurableFrameError::Detached), DurableOpen::Resumed { epoch, applied }) => {
+                        assert_eq!(applied, total, "resume sees every frame applied");
+                        let report = handle.durable_close(&name, epoch, total).unwrap();
+                        assert_eq!(report.body, expected);
+                        taken_over += 1;
+                    }
+                    (closed, resumed) => {
+                        panic!("round {round}: close {closed:?} with resume {resumed:?}")
+                    }
+                }
+            }
+            Ok((completed, taken_over))
+        })
+        .unwrap();
+        assert_eq!(completed + taken_over, rounds);
+        assert!(out.sessions.conserved(), "{:?}", out.sessions);
+        assert_eq!(out.sessions.admitted, rounds as u64);
+        assert_eq!(out.sessions.completed, rounds as u64);
+        assert_eq!(out.transport.session_resumes, rounds as u64);
     }
 }

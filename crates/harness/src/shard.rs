@@ -6,7 +6,8 @@
 //! `sync_channel` inbox, and drained by returning the state when its
 //! inbox closes. The batch trial engine ([`parallel`](crate::parallel))
 //! feeds shards trial indices; the streaming service
-//! ([`service`](crate::service)) feeds them demultiplexed trace events.
+//! ([`service`](crate::service)) feeds them whole sessions, one decoded
+//! frame per message.
 //!
 //! The bounded inbox doubles as backpressure: a producer that outruns a
 //! shard blocks (or diverts, with [`Inboxes::send_balanced`]) instead of

@@ -67,15 +67,14 @@ impl RuntimeCounters {
 /// Per-shard counters the streaming detection service (`pacer serve`)
 /// reports — one instance per shard worker, summed for the fleet total.
 ///
-/// Deterministic for variable-sharded detectors at a fixed shard count:
-/// access routing is a pure function of the variable id and sync events
-/// broadcast everywhere, so neither arrival interleaving nor handler
-/// scheduling changes any count (see `SERVICE.md`).
+/// Each session runs whole on its home shard (`session mod N`, in
+/// admission order), so the totals are exact — every event counts once —
+/// while the per-shard split follows admission order (see `SERVICE.md`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Sessions that materialized detector state in this shard.
     pub sessions: u64,
-    /// Events this shard processed (routed accesses + broadcasts).
+    /// Events this shard applied, for the sessions homed on it.
     /// Counted once per event — supervised replays never double-count.
     pub events: u64,
     /// Data-variable accesses among those events.

@@ -845,6 +845,12 @@ impl<R: Read> TraceReader<R> {
         self.events
     }
 
+    /// True when every event of the current frame has been yielded, so
+    /// the next pull reads the source (and may block on it).
+    pub fn frame_exhausted(&self) -> bool {
+        self.pos >= self.payload.len()
+    }
+
     /// Loads the next frame into `self.payload`. Returns `false` on clean
     /// EOF or truncation (sets flags), `true` when a frame is ready.
     fn load_frame(&mut self) -> Result<bool, BinaryTraceError> {

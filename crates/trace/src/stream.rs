@@ -166,6 +166,18 @@ impl<R: Read> AnyTraceReader<R> {
         }
     }
 
+    /// True when nothing decoded is left buffered: a binary stream's
+    /// current frame is used up, so the next pull reads the source and
+    /// may block on it; a text stream (parsed whole) only at its end.
+    /// Consumers that batch events flush here, so a batch never waits on
+    /// a client that has not sent the next frame yet.
+    pub fn frame_exhausted(&self) -> bool {
+        match &self.inner {
+            Inner::Binary(r) => r.frame_exhausted(),
+            Inner::Text(iter) => iter.len() == 0,
+        }
+    }
+
     /// The user-facing truncation note both `pacer replay` and `pacer
     /// serve` print for a mid-frame cut, or `None` for an intact stream.
     pub fn truncation_note(&self) -> Option<String> {
@@ -337,6 +349,34 @@ mod tests {
         assert!(
             matches!(result, Err(e) if e.is_binary()),
             "checksum must fail hard"
+        );
+    }
+
+    #[test]
+    fn frame_exhausted_marks_each_frame_boundary() {
+        use crate::binary::FRAME_EVENT_TARGET;
+        let actions = [Action::SampleBegin, Action::SampleEnd];
+        let trace = Trace::from_actions(actions.repeat(FRAME_EVENT_TARGET / 2 + 8));
+        let bytes = encode_trace(&trace);
+        let mut reader = AnyTraceReader::new(&bytes[..]).unwrap();
+        let mut boundaries = Vec::new();
+        let mut pulled = 0;
+        while let Some(action) = reader.next() {
+            action.unwrap();
+            pulled += 1;
+            if reader.frame_exhausted() {
+                boundaries.push(pulled);
+            }
+        }
+        assert_eq!(boundaries, vec![FRAME_EVENT_TARGET, trace.len()]);
+
+        let text = trace.to_text();
+        let mut reader = AnyTraceReader::new(text.as_bytes()).unwrap();
+        assert!(!reader.frame_exhausted());
+        assert_eq!(reader.by_ref().count(), trace.len());
+        assert!(
+            reader.frame_exhausted(),
+            "text is exhausted only at its end"
         );
     }
 

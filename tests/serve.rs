@@ -157,6 +157,68 @@ fn framed_stdin_mode_matches_replay_and_is_shard_invariant() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every event is applied exactly once, by its session's home worker:
+/// the per-shard `events` in `--metrics-out` sum to the transcript's
+/// event total, with no sync event counted once per shard.
+#[test]
+fn per_shard_event_counts_sum_to_the_transcript_total() {
+    let dir = temp_dir("event-law");
+    let sessions = session_traces(6);
+    let mut frames = Vec::new();
+    for (name, bytes) in &sessions {
+        frames.extend_from_slice(format!("SESSION {name} {}\n", bytes.len()).as_bytes());
+        frames.extend_from_slice(bytes);
+    }
+    let frames_path = dir.join("sessions.frames");
+    std::fs::write(&frames_path, &frames).unwrap();
+    let frames_path = frames_path.to_string_lossy().into_owned();
+
+    for detector in ["pacer", "fasttrack"] {
+        let metrics_path = dir.join(format!("{detector}.json"));
+        let metrics_path = metrics_path.to_string_lossy().into_owned();
+        let out = run(&args(&[
+            "serve",
+            "--stdin",
+            &frames_path,
+            "--shards",
+            "4",
+            "--detector",
+            detector,
+            "--metrics-out",
+            &metrics_path,
+        ]))
+        .unwrap();
+        let summary = out.text.split("served 6 session(s) (").nth(1);
+        let total: u64 = summary
+            .and_then(|rest| rest.split(" events").next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no event total in the transcript: {out}"));
+
+        let json = std::fs::read_to_string(&metrics_path).unwrap();
+        let metrics = pacer_collections::JsonValue::parse(&json).unwrap();
+        let shards = metrics
+            .get("serve")
+            .and_then(|serve| serve.get("shards"))
+            .and_then(|shards| shards.as_array())
+            .unwrap_or_else(|| panic!("no per-shard counters: {json}"));
+        let events: Vec<u64> = shards
+            .iter()
+            .map(|shard| shard.get("events").and_then(|e| e.as_u64()).unwrap())
+            .collect();
+        assert_eq!(events.len(), 4);
+        assert_eq!(
+            events.iter().sum::<u64>(),
+            total,
+            "{detector}: per-shard events {events:?} must sum to the transcript total"
+        );
+        assert!(
+            events.iter().filter(|&&e| e > 0).count() > 1,
+            "{detector}: sessions spread over the workers: {events:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn socket_daemon_serves_replay_identical_replies() {
     let dir = temp_dir("socket");
