@@ -381,6 +381,7 @@ if [ "${1:-}" = "--quick" ]; then
 fi
 
 # Smoke-run every bench target in quick mode; each writes BENCH_<name>.json
+# under target/bench-smoke/, never over the committed full-sample results
 # at the workspace root.
 for bench in clock_ops detector_throughput workload_overhead version_ablation clock_ablation trace_codec; do
     echo "== cargo bench $bench --quick"
@@ -397,7 +398,7 @@ import json, sys
 
 results = {
     r["id"]: r["events_per_sec"]
-    for r in json.load(open("BENCH_clock_ablation.json"))["results"]
+    for r in json.load(open("target/bench-smoke/BENCH_clock_ablation.json"))["results"]
     if r.get("events_per_sec")
 }
 floor = 0.9 * results["pacer@100%/baseline"]

@@ -10,7 +10,7 @@ use std::hint::black_box;
 use pacer_bench::Bench;
 use pacer_trace::binary::{decode_trace, encode_trace};
 use pacer_trace::gen::{insert_sampling_periods, GenConfig};
-use pacer_trace::{Trace, TraceReader};
+use pacer_trace::{Trace, TraceReader, ValidatedActions};
 
 fn main() {
     let mut bench = Bench::from_args("trace_codec", std::env::args().skip(1));
@@ -43,6 +43,15 @@ fn main() {
             n += 1;
         }
         black_box(n);
+    });
+    bench.measure("validate/binary-streaming", Some(events), || {
+        // Decode plus the §A check, as `pacer replay` and serve ingest
+        // run them; this row minus `decode/binary-streaming` is the
+        // validator's cost per event.
+        let reader = TraceReader::new(std::io::Cursor::new(black_box(&binary[..]))).unwrap();
+        let mut validated = ValidatedActions::new(reader.map(Result::unwrap));
+        black_box(validated.by_ref().count());
+        assert!(validated.error().is_none());
     });
     bench.measure("decode/text", Some(events), || {
         black_box(Trace::parse(black_box(&text)).unwrap().len());

@@ -5,7 +5,8 @@
 //! `reproduce` binary dispatches on a name (`table1`, `fig3`, …, or `all`)
 //! and prints the rendered result. The bench targets under `benches/` run
 //! on the in-tree [`timing`] harness (no external deps, fully offline) and
-//! emit machine-readable `BENCH_*.json` files at the workspace root:
+//! emit machine-readable `BENCH_*.json` files at the workspace root
+//! (`--quick` smoke runs write under `target/bench-smoke/` instead):
 //! detector throughput, clock micro-operations, end-to-end workload
 //! overhead, and the version-fast-path ablation.
 //!

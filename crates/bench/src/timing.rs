@@ -4,7 +4,9 @@
 //! Replaces the external criterion dependency so the perf trajectory can
 //! be measured fully offline. Each bench target builds a [`Bench`], calls
 //! [`Bench::measure`] per case, prints the human-readable table, and
-//! writes `BENCH_<name>.json` at the workspace root:
+//! writes `BENCH_<name>.json` at the workspace root — or, for a `--quick`
+//! smoke run, under `target/bench-smoke/`, so low-sample numbers never
+//! overwrite the committed full-sample results:
 //!
 //! ```json
 //! {
@@ -61,6 +63,8 @@ pub struct Bench {
     name: String,
     samples: usize,
     min_batch_time: Duration,
+    /// Where `finish` and `write_metrics_snapshot` write.
+    out_dir: PathBuf,
     results: Vec<Measurement>,
     context: Vec<(String, String)>,
 }
@@ -68,6 +72,7 @@ pub struct Bench {
 impl Bench {
     /// Creates a harness for bench target `name`, honoring `--quick` and
     /// `--samples N` from `args` (pass `std::env::args().skip(1)`).
+    /// `--quick` also sends the output files to `target/bench-smoke/`.
     pub fn from_args(name: &str, args: impl Iterator<Item = String>) -> Self {
         let mut bench = Bench::new(name);
         let args: Vec<String> = args.collect();
@@ -77,6 +82,7 @@ impl Bench {
                 "--quick" => {
                     bench.samples = 5;
                     bench.min_batch_time = Duration::from_millis(1);
+                    bench.out_dir = workspace_root().join("target").join("bench-smoke");
                 }
                 "--samples" => {
                     i += 1;
@@ -100,6 +106,7 @@ impl Bench {
             name: name.to_string(),
             samples: 11,
             min_batch_time: Duration::from_millis(5),
+            out_dir: workspace_root(),
             results: Vec::new(),
             context: Vec::new(),
         }
@@ -234,12 +241,14 @@ impl Bench {
         out
     }
 
-    /// Writes `BENCH_<name>.json` into `dir`, returning the path.
+    /// Writes `BENCH_<name>.json` into `dir` (created if missing),
+    /// returning the path.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write_json(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("BENCH_{}.json", self.name));
         pacer_collections::atomic_write(&path, self.to_json())?;
         Ok(path)
@@ -259,21 +268,23 @@ impl Bench {
     /// Panics on filesystem errors (bench targets have no caller to
     /// propagate to).
     pub fn write_metrics_snapshot(&self, metrics_json: &str) {
-        let path = workspace_root().join(format!("BENCH_{}.metrics.json", self.name));
+        std::fs::create_dir_all(&self.out_dir).expect("create the BENCH output directory");
+        let path = self
+            .out_dir
+            .join(format!("BENCH_{}.metrics.json", self.name));
         pacer_collections::atomic_write(&path, metrics_json).expect("write BENCH metrics json");
         println!("wrote {}", path.display());
     }
 
-    /// Writes `BENCH_<name>.json` at the workspace root and prints where.
+    /// Writes `BENCH_<name>.json` at the workspace root (under
+    /// `target/bench-smoke/` for a `--quick` run) and prints where.
     ///
     /// # Panics
     ///
     /// Panics on filesystem errors (bench targets have no caller to
     /// propagate to).
     pub fn finish(&self) {
-        let path = self
-            .write_json(&workspace_root())
-            .expect("write BENCH json");
+        let path = self.write_json(&self.out_dir).expect("write BENCH json");
         println!("{}", self.render_text());
         println!("wrote {}", path.display());
     }
@@ -385,10 +396,16 @@ mod tests {
     fn quick_flag_reduces_samples() {
         let b = Bench::from_args("argtest", ["--quick".to_string()].into_iter());
         assert_eq!(b.samples, 5);
+        assert_eq!(
+            b.out_dir,
+            workspace_root().join("target/bench-smoke"),
+            "smoke runs never overwrite committed results"
+        );
         let b = Bench::from_args(
             "argtest",
             ["--samples".to_string(), "7".to_string()].into_iter(),
         );
         assert_eq!(b.samples, 7);
+        assert_eq!(b.out_dir, workspace_root());
     }
 }

@@ -1,6 +1,5 @@
 //! Trace containers and well-formedness validation.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -277,8 +276,22 @@ impl<'a> IntoIterator for &'a Trace {
 ///
 /// [`Trace::validate`] is this validator run over a materialized trace;
 /// streaming consumers (the binary replay path, most importantly) feed it
-/// one action at a time instead, so arbitrarily large `.ptrace` files can
-/// be validated in bounded memory while the detector runs.
+/// one action at a time instead, so arbitrarily long `.ptrace` files can
+/// be validated while the detector runs without holding the trace.
+///
+/// State lives in dense tables indexed by id, the trade the detectors'
+/// `IdMap` tables already make (see `pacer-collections`): one lifecycle
+/// byte per thread (forked / started / joined) and one holder slot per
+/// lock. Lookups are a bounds-checked `get`, and an id past a table's end
+/// reads as the initial state. A table grows only on a fork or acquire
+/// that passes its checks, so the thread table is sized by the largest
+/// forked thread and the lock table by the largest acquired lock; an
+/// action rejected for an unknown id allocates nothing.
+///
+/// Memory is therefore O(largest accepted id), not bounded by a constant:
+/// a well-formed `fork` of thread 2³²−1 asks for about 4 GiB and an `acq`
+/// of lock 2³²−1 for about 32 GiB, as the detectors' `IdMap` tables would
+/// for the same ids. Ids are not capped here.
 ///
 /// After the first error the validator is poisoned: state updates from the
 /// offending action were not applied, so further `check` calls have
@@ -296,15 +309,22 @@ impl<'a> IntoIterator for &'a Trace {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TraceValidator {
-    lock_holder: std::collections::HashMap<crate::LockId, ThreadId>,
-    forked: HashSet<ThreadId>,
-    /// Threads allowed to act: thread 0 (the implicit main thread, seeded
-    /// at construction) plus every fork target seen so far.
-    started: HashSet<ThreadId>,
-    joined: HashSet<ThreadId>,
+    /// Lifecycle bits per thread ([`FORKED`], [`STARTED`], [`JOINED`]),
+    /// indexed by thread id. Thread 0, the implicit main thread, starts
+    /// out started.
+    threads: Vec<u8>,
+    /// The thread holding each lock, indexed by lock id.
+    lock_holder: Vec<Option<ThreadId>>,
     sampling: bool,
     index: usize,
 }
+
+/// The thread was the target of a fork.
+const FORKED: u8 = 1;
+/// The thread may act: thread 0, or a fork target.
+const STARTED: u8 = 2;
+/// The thread was the target of a join.
+const JOINED: u8 = 4;
 
 impl Default for TraceValidator {
     fn default() -> Self {
@@ -317,10 +337,8 @@ impl TraceValidator {
     /// thread 0 started, not sampling.
     pub fn new() -> Self {
         TraceValidator {
-            lock_holder: std::collections::HashMap::new(),
-            forked: HashSet::new(),
-            started: HashSet::from([ThreadId::new(0)]),
-            joined: HashSet::new(),
+            threads: vec![STARTED],
+            lock_holder: Vec::new(),
             sampling: false,
             index: 0,
         }
@@ -329,6 +347,14 @@ impl TraceValidator {
     /// Number of actions checked so far (the index reported in errors).
     pub fn index(&self) -> usize {
         self.index
+    }
+
+    fn thread_state(&self, t: ThreadId) -> u8 {
+        self.threads.get(t.index()).copied().unwrap_or(0)
+    }
+
+    fn holder(&self, m: crate::LockId) -> Option<ThreadId> {
+        self.lock_holder.get(m.index()).copied().flatten()
     }
 
     /// Checks the next action of the trace.
@@ -340,16 +366,17 @@ impl TraceValidator {
         use ValidateTraceError as E;
         let i = self.index;
         if let Some(t) = a.thread() {
-            if self.joined.contains(&t) {
+            let state = self.thread_state(t);
+            if state & JOINED != 0 {
                 return Err(E::ActionAfterJoin { index: i, t });
             }
-            if !self.started.contains(&t) {
+            if state & STARTED == 0 {
                 return Err(E::ActionBeforeFork { index: i, t });
             }
         }
         match *a {
             Action::Acquire { t, m } => {
-                if let Some(&holder) = self.lock_holder.get(&m) {
+                if let Some(holder) = self.holder(m) {
                     return Err(E::AcquireHeldLock {
                         index: i,
                         t,
@@ -357,31 +384,37 @@ impl TraceValidator {
                         holder,
                     });
                 }
-                self.lock_holder.insert(m, t);
+                if m.index() >= self.lock_holder.len() {
+                    self.lock_holder.resize(m.index() + 1, None);
+                }
+                self.lock_holder[m.index()] = Some(t);
             }
             Action::Release { t, m } => {
-                if self.lock_holder.get(&m) != Some(&t) {
+                if self.holder(m) != Some(t) {
                     return Err(E::ReleaseUnheldLock { index: i, t, m });
                 }
-                self.lock_holder.remove(&m);
+                self.lock_holder[m.index()] = None;
             }
             Action::Fork { t, u } => {
                 if t == u {
                     return Err(E::SelfFork { index: i, t });
                 }
-                if !self.forked.insert(u) || u == ThreadId::new(0) {
+                if self.thread_state(u) & FORKED != 0 || u == ThreadId::new(0) {
                     return Err(E::DoubleFork { index: i, u });
                 }
-                self.started.insert(u);
+                if u.index() >= self.threads.len() {
+                    self.threads.resize(u.index() + 1, 0);
+                }
+                self.threads[u.index()] |= FORKED | STARTED;
             }
             Action::Join { t, u } => {
                 if t == u {
                     return Err(E::SelfJoin { index: i, t });
                 }
-                if !self.started.contains(&u) {
+                if self.thread_state(u) & STARTED == 0 {
                     return Err(E::JoinUnstarted { index: i, u });
                 }
-                self.joined.insert(u);
+                self.threads[u.index()] |= JOINED;
             }
             Action::SampleBegin => {
                 if self.sampling {
@@ -507,6 +540,106 @@ impl fmt::Display for ValidateTraceError {
 }
 
 impl Error for ValidateTraceError {}
+
+/// The validator as it was before its dense tables: SipHash maps and
+/// sets. Kept only as the reference model the dense validator is
+/// differentially tested against.
+#[cfg(test)]
+mod reference {
+    use std::collections::{HashMap, HashSet};
+
+    use pacer_clock::ThreadId;
+
+    use crate::{Action, LockId, ValidateTraceError};
+
+    #[derive(Clone, Debug)]
+    pub(super) struct HashValidator {
+        pub(super) lock_holder: HashMap<LockId, ThreadId>,
+        forked: HashSet<ThreadId>,
+        pub(super) started: HashSet<ThreadId>,
+        pub(super) joined: HashSet<ThreadId>,
+        pub(super) sampling: bool,
+        index: usize,
+    }
+
+    impl HashValidator {
+        pub(super) fn new() -> Self {
+            HashValidator {
+                lock_holder: HashMap::new(),
+                forked: HashSet::new(),
+                started: HashSet::from([ThreadId::new(0)]),
+                joined: HashSet::new(),
+                sampling: false,
+                index: 0,
+            }
+        }
+
+        pub(super) fn check(&mut self, a: &Action) -> Result<(), ValidateTraceError> {
+            use ValidateTraceError as E;
+            let i = self.index;
+            if let Some(t) = a.thread() {
+                if self.joined.contains(&t) {
+                    return Err(E::ActionAfterJoin { index: i, t });
+                }
+                if !self.started.contains(&t) {
+                    return Err(E::ActionBeforeFork { index: i, t });
+                }
+            }
+            match *a {
+                Action::Acquire { t, m } => {
+                    if let Some(&holder) = self.lock_holder.get(&m) {
+                        return Err(E::AcquireHeldLock {
+                            index: i,
+                            t,
+                            m,
+                            holder,
+                        });
+                    }
+                    self.lock_holder.insert(m, t);
+                }
+                Action::Release { t, m } => {
+                    if self.lock_holder.get(&m) != Some(&t) {
+                        return Err(E::ReleaseUnheldLock { index: i, t, m });
+                    }
+                    self.lock_holder.remove(&m);
+                }
+                Action::Fork { t, u } => {
+                    if t == u {
+                        return Err(E::SelfFork { index: i, t });
+                    }
+                    if !self.forked.insert(u) || u == ThreadId::new(0) {
+                        return Err(E::DoubleFork { index: i, u });
+                    }
+                    self.started.insert(u);
+                }
+                Action::Join { t, u } => {
+                    if t == u {
+                        return Err(E::SelfJoin { index: i, t });
+                    }
+                    if !self.started.contains(&u) {
+                        return Err(E::JoinUnstarted { index: i, u });
+                    }
+                    self.joined.insert(u);
+                }
+                Action::SampleBegin => {
+                    if self.sampling {
+                        return Err(E::UnbalancedSampling { index: i });
+                    }
+                    self.sampling = true;
+                }
+                Action::SampleEnd => {
+                    if !self.sampling {
+                        return Err(E::UnbalancedSampling { index: i });
+                    }
+                    self.sampling = false;
+                }
+                _ => {}
+            }
+            self.index += 1;
+            Ok(())
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -701,6 +834,159 @@ mod tests {
     fn load_missing_file_is_not_found() {
         let err = Trace::load("/nonexistent/pacer.trace").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    }
+
+    /// A thread id for the differential test: mostly a small pool, so
+    /// forks, joins and locks collide, sometimes one near `u32::MAX`.
+    fn random_thread(rng: &mut pacer_prng::Rng) -> ThreadId {
+        if rng.gen_bool(0.1) {
+            t(u32::MAX - rng.gen_range(0..3u32))
+        } else {
+            t(rng.gen_range(0..6u32))
+        }
+    }
+
+    fn random_lock(rng: &mut pacer_prng::Rng) -> LockId {
+        if rng.gen_bool(0.1) {
+            LockId::new(u32::MAX - rng.gen_range(0..3u32))
+        } else {
+            LockId::new(rng.gen_range(0..4u32))
+        }
+    }
+
+    /// The next action of a random sequence: usually one the reference
+    /// accepts, so sequences run long, sometimes anything at all (double
+    /// forks, forks of thread 0, self-joins, unbalanced sampling, …).
+    fn random_action(rng: &mut pacer_prng::Rng, model: &reference::HashValidator) -> Action {
+        let mut live: Vec<ThreadId> = model.started.difference(&model.joined).copied().collect();
+        live.sort();
+        let wild = live.is_empty() || rng.gen_bool(0.08);
+        let t = if wild {
+            random_thread(rng)
+        } else {
+            live[rng.gen_range(0..live.len())]
+        };
+        let kind = rng.gen_range(0..6u32);
+        if wild {
+            let m = random_lock(rng);
+            return match kind {
+                0 => Action::Acquire { t, m },
+                1 => Action::Release { t, m },
+                2 => Action::Fork {
+                    t,
+                    u: random_thread(rng),
+                },
+                3 => Action::Join {
+                    t,
+                    u: random_thread(rng),
+                },
+                4 => Action::SampleBegin,
+                _ => Action::SampleEnd,
+            };
+        }
+        match kind {
+            0 => rd(t.raw(), 0),
+            1 => {
+                let held = model.lock_holder.iter().map(|(&m, &h)| (m, h)).min();
+                let free = (0..4)
+                    .map(LockId::new)
+                    .find(|m| !model.lock_holder.contains_key(m));
+                match (held, free) {
+                    (Some((m, holder)), _) if rng.gen_bool(0.5) => Action::Release { t: holder, m },
+                    (_, Some(m)) => Action::Acquire { t, m },
+                    _ => rd(t.raw(), 1),
+                }
+            }
+            2 => {
+                let fresh = model
+                    .started
+                    .iter()
+                    .map(|u| u.raw())
+                    .filter(|&u| u < 64)
+                    .max();
+                Action::Fork {
+                    t,
+                    u: ThreadId::new(fresh.map_or(1, |u| u + 1)),
+                }
+            }
+            3 => match live.iter().find(|&&u| u != t && u != ThreadId::new(0)) {
+                Some(&u) => Action::Join { t, u },
+                None => rd(t.raw(), 2),
+            },
+            4 => Action::VolWrite {
+                t,
+                v: crate::VolatileId::new(0),
+            },
+            _ if model.sampling => Action::SampleEnd,
+            _ => Action::SampleBegin,
+        }
+    }
+
+    #[test]
+    fn dense_validator_matches_the_hash_reference() {
+        let mut rng = pacer_prng::Rng::seed_from_u64(0x7a1_1da7e);
+        let huge = |a: &Action| match *a {
+            Action::Fork { u, .. } => u.index() > 1 << 16,
+            Action::Acquire { m, .. } => m.index() > 1 << 16,
+            _ => false,
+        };
+        let (mut steps, mut kinds) = (0, std::collections::HashSet::new());
+        for round in 0..3000 {
+            let mut dense = TraceValidator::new();
+            let mut reference = reference::HashValidator::new();
+            for step in 0..rng.gen_range(1..80u32) {
+                let mut action = random_action(&mut rng, &reference);
+                // A fork or acquire of a huge id that passes would size a
+                // dense table by it (gigabytes); keep those to rejections.
+                if huge(&action) && reference.clone().check(&action).is_ok() {
+                    action = Action::SampleBegin;
+                }
+                let expected = reference.check(&action);
+                let lens = (dense.threads.len(), dense.lock_holder.len());
+                let got = dense.check(&action);
+                assert_eq!(got, expected, "round {round} step {step}: {action}");
+                steps += 1;
+                if let Err(e) = got {
+                    // A rejected action, huge unknown ids included, grows
+                    // no table.
+                    assert_eq!((dense.threads.len(), dense.lock_holder.len()), lens);
+                    kinds.insert(std::mem::discriminant(&e));
+                    break;
+                }
+            }
+        }
+        assert!(
+            steps > 10 * 3000,
+            "only {steps} steps: sequences end too early"
+        );
+        assert_eq!(
+            kinds.len(),
+            9,
+            "every ValidateTraceError variant is exercised"
+        );
+    }
+
+    #[test]
+    fn rejected_huge_ids_allocate_nothing() {
+        let mut v = TraceValidator::new();
+        let huge = t(u32::MAX - 1);
+        for action in [
+            rd(u32::MAX - 1, 0),
+            Action::Acquire {
+                t: huge,
+                m: LockId::new(u32::MAX),
+            },
+            Action::Fork { t: huge, u: t(1) },
+            Action::Join { t: t(0), u: huge },
+            Action::Release {
+                t: t(0),
+                m: LockId::new(u32::MAX),
+            },
+        ] {
+            assert!(v.check(&action).is_err(), "{action}");
+            assert_eq!(v.threads.len(), 1, "{action}");
+            assert!(v.lock_holder.is_empty(), "{action}");
+        }
     }
 
     #[test]
